@@ -120,8 +120,8 @@ type (
 	ServeConfig = server.Config
 	// ExecutorConfig sizes the server's worker pool, queue and cache.
 	ExecutorConfig = server.ExecutorConfig
-	// JobTimeline is a job's bounded lifecycle event log, served by the
-	// API at GET /v1/jobs/{id}/events.
+	// JobTimeline is a job's lifecycle events (from its request span),
+	// served by the API at GET /v1/jobs/{id}/events.
 	JobTimeline = server.Timeline
 	// JobEvent is one entry in a JobTimeline.
 	JobEvent = server.Event
@@ -161,13 +161,8 @@ type (
 	// SLOConfig arms capmand's built-in watchdog via ServeConfig.SLO.
 	SLOConfig = server.SLOConfig
 
-	// FlightRecorder is a bounded in-memory ring of observability
-	// breadcrumbs, attachable to a run's context with WithFlight.
-	FlightRecorder = obs.FlightRecorder
-	// FlightEvent is one breadcrumb in a FlightRecorder.
-	FlightEvent = obs.FlightEvent
-	// FlightBox is a flight recorder's snapshot — the "black box" cut
-	// when a run or job fails.
+	// FlightBox is a Recorder's snapshot — the "black box" cut when a run
+	// or job fails: the span forest with each span's events.
 	FlightBox = obs.FlightBox
 	// JobFlight is a failed capmand job's black box, served by the API at
 	// GET /v1/jobs/{id}/flight.
@@ -258,16 +253,6 @@ func NewRecorder(limit int) *Recorder { return obs.NewRecorder(limit) }
 // RunContext without touching the SimConfig.
 func WithRecorder(ctx context.Context, rec *Recorder) context.Context {
 	return obs.WithRecorder(ctx, rec)
-}
-
-// NewFlightRecorder builds a flight recorder keeping the newest limit
-// events; limit ≤ 0 uses the default bound.
-func NewFlightRecorder(limit int) *FlightRecorder { return obs.NewFlightRecorder(limit) }
-
-// WithFlight attaches a flight recorder to a context so RunContext (and
-// the degradation guard) leave breadcrumbs in it.
-func WithFlight(ctx context.Context, f *FlightRecorder) context.Context {
-	return obs.WithFlight(ctx, f)
 }
 
 // NewMetricsRegistry builds an empty unified metrics registry. A nil

@@ -87,7 +87,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	traceSeed := fs.Uint64("trace-seed", 0, "seed for the deterministic tail sampler (0 = unseeded)")
 	traceStore := fs.Int("trace-store", 0, "retained-trace ring capacity (0 = default 512)")
 	exemplars := fs.Bool("exemplars", true, "attach OpenMetrics trace-ID exemplars to latency histograms on /metrics")
-	noFlight := fs.Bool("no-flight", false, "disable per-job flight recording (failed jobs get no black box)")
 	noInvariants := fs.Bool("no-invariants", false, "disable the runtime safety-invariant checker on served jobs")
 	invariantCPUCeiling := fs.Float64("invariant-cpu-ceiling", 0, "override the checker's CPU thermal ceiling in degC (0 = calibrated default)")
 	logLevel := fs.String("log-level", "info", "log level: debug|info|warn|error")
@@ -122,7 +121,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			QueueWaitWarn:      *queueWaitWarn,
 			ShedQueueWatermark: *shedWatermark,
 			ShedRetryAfter:     *shedRetryAfter,
-			DisableFlight:      *noFlight,
 			DisableInvariants:  *noInvariants,
 			Invariants:         invOverride,
 			Breaker: server.BreakerConfig{
@@ -170,7 +168,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		"slo_tte_p99", sloTTEP99.String(),
 		"shed_watermark", *shedWatermark,
 		"shed_on_burn", *shedOnBurn,
-		"flight", !*noFlight,
 		"invariants", !*noInvariants,
 		"telemetry", !*noTelemetry,
 		"trace", !*noTrace,

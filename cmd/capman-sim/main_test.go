@@ -58,15 +58,14 @@ func TestRunOnOffWorkload(t *testing.T) {
 	}
 }
 
-// TestRunFlightBox: -flight writes a non-empty black box with the run's
-// notes and (with -faults) degradation breadcrumbs; with -trace it also
-// carries spans.
+// TestRunFlightBox: -flight alone writes a black box whose spans carry
+// the run's notes and (with -faults) degradation breadcrumbs on the
+// sim.run span, under the root span that takes the teed log records.
 func TestRunFlightBox(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "box.json")
-	trace := filepath.Join(t.TempDir(), "spans.json")
 	err := run([]string{"-workload", "video", "-policy", "heuristic",
 		"-mah", "600", "-max-time", "20000", "-faults", "stuck-switch",
-		"-flight", out, "-trace", trace})
+		"-flight", out, "-log-level", "error"})
 	if err != nil {
 		t.Fatalf("flight cycle: %v", err)
 	}
@@ -78,22 +77,37 @@ func TestRunFlightBox(t *testing.T) {
 	if err := json.Unmarshal(raw, &box); err != nil {
 		t.Fatalf("flight box is not valid JSON: %v", err)
 	}
-	if box.Reason == "" || len(box.Events) == 0 {
-		t.Fatalf("flight box empty: reason=%q events=%d", box.Reason, len(box.Events))
+	if box.Reason == "" || len(box.Spans) != 1 || box.Spans[0].Name != "capman-sim" {
+		t.Fatalf("flight box = reason %q, spans %+v; want one capman-sim root", box.Reason, box.Spans)
+	}
+	var runSpan *obs.SpanNode
+	for i, c := range box.Spans[0].Children {
+		if c.Name == "sim.run" {
+			runSpan = &box.Spans[0].Children[i]
+		}
+	}
+	if runSpan == nil {
+		t.Fatal("box carries no sim.run span")
 	}
 	var degrades, notes int
-	for _, ev := range box.Events {
+	for _, ev := range runSpan.Events {
 		switch ev.Kind {
-		case obs.FlightDegrade:
+		case obs.EventDegrade:
 			degrades++
-		case obs.FlightNote:
+		case obs.EventNote:
 			notes++
 		}
 	}
 	if degrades == 0 || notes < 2 {
 		t.Errorf("box has %d degrade events and %d notes, want >=1 and >=2", degrades, notes)
 	}
-	if len(box.Spans) == 0 {
-		t.Error("box carries no spans despite -trace")
+	var logs int
+	for _, ev := range box.Spans[0].Events {
+		if ev.Kind == obs.EventLog {
+			logs++
+		}
+	}
+	if logs == 0 {
+		t.Error("root span holds no teed log records (the tee sees debug lines below -log-level)")
 	}
 }

@@ -164,7 +164,7 @@ type Violation struct {
 	// Detail is a human-readable one-liner.
 	Detail string `json:"detail"`
 	// First marks the first breach of this contract in the run; consumers
-	// that must stay bounded (the flight recorder) keep only these.
+	// that must stay bounded (span event rings) keep only these.
 	First bool `json:"first,omitempty"`
 	// Twin is the cohort index for batch violations; -1 for scalar runs.
 	Twin int `json:"twin,omitempty"`
@@ -306,7 +306,7 @@ func NewChecker(cfg Config) *Checker {
 }
 
 // SetOnViolation registers a hook fired synchronously for every violation
-// (the simulation streams them into the metrics sink and flight recorder).
+// (the simulation streams them into the metrics sink and its run span).
 // A nil fn clears the hook.
 func (c *Checker) SetOnViolation(fn func(Violation)) { c.onViolate = fn }
 

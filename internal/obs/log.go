@@ -81,7 +81,6 @@ const (
 	requestIDKey
 	recorderKey
 	spanKey
-	flightKey
 )
 
 // WithLogger attaches a logger to the context for Logger to find.

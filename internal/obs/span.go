@@ -65,6 +65,13 @@ type Span struct {
 	end      time.Time
 	attrs    map[string]any
 	children []*Span
+
+	// Bounded event ring (spanevent.go): the newest maxSpanEvents events,
+	// oldest at evHead once full; evSeq numbers every event ever added.
+	events    []SpanEvent
+	evHead    int
+	evSeq     int
+	evDropped int
 }
 
 // StartSpan opens a span under the context's current span (or as a root)
@@ -85,7 +92,7 @@ func (r *Recorder) StartSpan(ctx context.Context, name string) (context.Context,
 	r.mu.Unlock()
 
 	s := &Span{name: name, start: time.Now()}
-	if parent := spanFrom(ctx); parent != nil {
+	if parent := SpanFrom(ctx); parent != nil {
 		parent.addChild(s)
 	} else {
 		r.mu.Lock()
@@ -145,8 +152,8 @@ func WithSpan(ctx context.Context, s *Span) context.Context {
 	return context.WithValue(ctx, spanKey, s)
 }
 
-// spanFrom returns the context's current span, if any.
-func spanFrom(ctx context.Context) *Span {
+// SpanFrom returns the context's current span, or nil when none.
+func SpanFrom(ctx context.Context) *Span {
 	if ctx == nil {
 		return nil
 	}
@@ -239,7 +246,11 @@ type SpanNode struct {
 	DurationMS float64        `json:"durationMs"`
 	InProgress bool           `json:"inProgress,omitempty"`
 	Attrs      map[string]any `json:"attrs,omitempty"`
-	Children   []SpanNode     `json:"children,omitempty"`
+	// Events are the span's retained breadcrumbs oldest-first;
+	// DroppedEvents counts older ones its bounded ring overwrote.
+	Events        []SpanEvent `json:"events,omitempty"`
+	DroppedEvents int         `json:"droppedEvents,omitempty"`
+	Children      []SpanNode  `json:"children,omitempty"`
 }
 
 // Tree snapshots the recorded spans as a forest of SpanNodes, roots in
@@ -273,6 +284,7 @@ func (s *Span) node() SpanNode {
 			n.Attrs[k] = v
 		}
 	}
+	n.Events, n.DroppedEvents = s.eventsLocked(), s.evDropped
 	children := make([]*Span, len(s.children))
 	copy(children, s.children)
 	s.mu.Unlock()

@@ -12,8 +12,8 @@ import (
 )
 
 // Alert is one anomaly finding: detector X saw metric Y misbehave at
-// instant Z. Alerts flow into capman_anomaly_total{detector}, the ops
-// flight recorder, and the live SSE stream.
+// instant Z. Alerts flow into capman_anomaly_total{detector}, the recent
+// ring served at /v1/alerts, and the live SSE stream.
 type Alert struct {
 	Detector string            `json:"detector"`
 	Metric   string            `json:"metric"`
@@ -278,7 +278,7 @@ type EngineConfig struct {
 	// (capman_anomaly_total{detector}).
 	Anomalies *metrics.CounterVec
 	// OnAlert, when set, receives every fired alert (the server wires
-	// the ops flight recorder and SSE stream here).
+	// the SSE stream here).
 	OnAlert func(Alert)
 	// Logger receives one structured warning per fired alert.
 	Logger *slog.Logger

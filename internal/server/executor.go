@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,24 +113,17 @@ type ExecutorConfig struct {
 	// job logs a warning (with its request ID) and increments
 	// capmand_queue_wait_warnings_total (default 30s; negative disables).
 	QueueWaitWarn time.Duration
-	// DisableFlight turns off per-job flight recording: no black boxes are
-	// cut for failed jobs, GET /v1/jobs/{id}/flight returns 404, and jobs
-	// skip span tracing. The default (zero value) records every job.
-	DisableFlight bool
 	// DisableInvariants turns off the runtime safety-invariant checker.
 	// The default (zero value) runs every sim job and twin batch under the
 	// checker: violations stream into
 	// capman_invariant_violations_total{invariant,severity} and the job's
-	// flight recorder, and a fatal violation trips the sim's degradation
+	// engine span, and a fatal violation trips the sim's degradation
 	// guard. The checker observes without perturbing physics, so cached
 	// outcomes of clean runs are byte-identical either way.
 	DisableInvariants bool
 	// Invariants overrides the checker's envelopes (nil = calibrated
 	// defaults). Ignored when DisableInvariants is set.
 	Invariants *invariant.Config
-	// FlightEvents bounds each job's flight-recorder ring (default
-	// obs.DefaultFlightEvents); the ring keeps the newest events.
-	FlightEvents int
 	// Registry resolves job specs (default DefaultRegistry()).
 	Registry *Registry
 	// Metrics receives the executor's instrumentation (default a fresh
@@ -177,9 +171,6 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 	if c.QueueWaitWarn < 0 {
 		c.QueueWaitWarn = 0 // any negative value means "never warn"
 	}
-	if c.FlightEvents <= 0 {
-		c.FlightEvents = obs.DefaultFlightEvents
-	}
 	if c.Registry == nil {
 		c.Registry = DefaultRegistry()
 	}
@@ -214,8 +205,6 @@ type Executor struct {
 	shedRetryAfter time.Duration
 	breakers       *breakerSet
 	logger         *slog.Logger
-	flightOff      bool
-	flightLen      int
 	invariants     *invariant.Config                                          // nil when DisableInvariants
 	stream         *tsdb.Bus                                                  // nil: no live event stream
 	runFn          func(context.Context, JobSpec, resolved) (*Outcome, error) // test seam
@@ -262,8 +251,6 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		shedRetryAfter: cfg.ShedRetryAfter,
 		breakers:       newBreakerSet(cfg.Breaker),
 		logger:         cfg.Logger,
-		flightOff:      cfg.DisableFlight,
-		flightLen:      cfg.FlightEvents,
 		invariants:     cfg.Invariants,
 		stream:         cfg.Stream,
 		runFn:          runJob,
@@ -294,17 +281,18 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 	return e
 }
 
-// notify mirrors one job lifecycle transition onto the live event
-// stream. Nil-safe and non-blocking (the bus drops for slow consumers),
-// so it is safe to call under the executor lock.
-func (e *Executor) notify(job *Job, typ, detail string) {
-	if e.stream == nil {
-		return
+// transition records one job lifecycle event, once: as a lifecycle event
+// on the job's request span (the one per-job record behind /events,
+// /flight and /v1/traces) and as a job frame on the live event stream.
+// Callers hold e.mu; the bus never blocks (it drops for slow consumers).
+func (e *Executor) transition(job *Job, typ, detail string) {
+	job.rootSpan.Event(obs.EventLifecycle, typ, detail, nil)
+	if e.stream != nil {
+		e.stream.Publish(tsdb.EventJob, time.Now(), JobStreamEvent{
+			JobID: job.ID, RequestID: job.RequestID, State: job.State,
+			Type: typ, Detail: detail,
+		})
 	}
-	e.stream.Publish(tsdb.EventJob, time.Now(), JobStreamEvent{
-		JobID: job.ID, RequestID: job.RequestID, State: job.State,
-		Type: typ, Detail: detail,
-	})
 }
 
 // Submit validates and enqueues one job, returning its snapshot. A spec
@@ -383,8 +371,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	}
 	if job, ok := e.cache.flight(key); ok {
 		e.metrics.CacheHits.Inc()
-		job.timeline.add(EventCoalesced, "request "+reqID+" coalesced onto this job")
-		e.notify(job, EventCoalesced, "request "+reqID+" coalesced onto this job")
+		e.transition(job, EventCoalesced, "request "+reqID+" coalesced onto this job")
 		log.Info("submission coalesced onto in-flight job",
 			"job_id", job.ID, "job_request_id", job.RequestID, "hash", short(hash))
 		return job.view(), nil
@@ -403,12 +390,12 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	}
 	e.metrics.CacheMisses.Inc()
 
+	e.seq++
 	job := &Job{
-		ID: e.nextID(), RequestID: reqID, Hash: hash, Spec: spec, key: key,
-		State: StateQueued, SubmittedAt: time.Now(), cfg: cfg,
+		ID: fmt.Sprintf("j%08d", e.seq), seq: e.seq, RequestID: reqID, Hash: hash,
+		Spec: spec, key: key, State: StateQueued, SubmittedAt: time.Now(), cfg: cfg,
 	}
 	e.mintTrace(job, opts)
-	job.timeline.add(EventSubmitted, specDetail(spec))
 	select {
 	case e.queue <- job:
 	default:
@@ -417,10 +404,12 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 		log.Warn("submission rejected: queue full", "depth", cap(e.queue))
 		return View{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(e.queue))
 	}
-	job.timeline.add(EventQueued, fmt.Sprintf("position %d", len(e.queue)))
+	// The worker cannot touch the job before e.mu is released, so both
+	// admission events land ahead of "running".
+	e.transition(job, EventSubmitted, specDetail(spec))
+	e.transition(job, EventQueued, fmt.Sprintf("position %d", len(e.queue)))
 	e.jobs[job.ID] = job
 	e.cache.setFlight(key, job)
-	e.notify(job, EventSubmitted, specDetail(spec))
 	e.metrics.QueueDepth.Set(int64(len(e.queue)))
 	log.Info("job submitted", "job_id", job.ID, "hash", short(hash),
 		"workload", spec.Workload, "policy", spec.Policy,
@@ -493,12 +482,6 @@ func short(hash string) string {
 	return hash
 }
 
-// nextID mints a job identifier; callers hold the lock.
-func (e *Executor) nextID() string {
-	e.seq++
-	return fmt.Sprintf("j%08d", e.seq)
-}
-
 // Get snapshots a job by ID.
 func (e *Executor) Get(id string) (View, error) {
 	e.mu.Lock()
@@ -510,21 +493,19 @@ func (e *Executor) Get(id string) (View, error) {
 	return job.view(), nil
 }
 
-// List snapshots every known job, newest first.
+// List snapshots every known job, newest first. It orders by admission
+// sequence, not by ID: j%08d IDs stop sorting as strings past 10^8 jobs.
 func (e *Executor) List() []View {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	views := make([]View, 0, len(e.jobs))
+	jobs := make([]*Job, 0, len(e.jobs))
 	for _, job := range e.jobs {
-		views = append(views, job.view())
+		jobs = append(jobs, job)
 	}
-	// jobs carry monotonically increasing IDs; sort newest first.
-	for i := 0; i < len(views); i++ {
-		for j := i + 1; j < len(views); j++ {
-			if views[j].ID > views[i].ID {
-				views[i], views[j] = views[j], views[i]
-			}
-		}
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].seq > jobs[j].seq })
+	views := make([]View, len(jobs))
+	for i, job := range jobs {
+		views[i] = job.view()
 	}
 	return views
 }
@@ -546,8 +527,8 @@ func (e *Executor) Cancel(id string) (View, error) {
 		job.State = StateCancelled
 		job.Err = context.Canceled.Error()
 		job.FinishedAt = time.Now()
-		job.timeline.add(EventCancelled, "cancelled while queued")
-		e.notify(job, EventCancelled, "cancelled while queued")
+		job.cfg = resolved{}
+		e.transition(job, EventCancelled, "cancelled while queued")
 		e.cache.clearFlight(job.key, job)
 		e.metrics.JobsCancelled.Inc()
 		e.logger.Info("job cancelled while queued",
@@ -558,21 +539,25 @@ func (e *Executor) Cancel(id string) (View, error) {
 	return job.view(), nil
 }
 
-// Events returns a job's bounded lifecycle timeline, oldest first.
+// Events returns a job's lifecycle timeline, oldest first: the lifecycle
+// events on its request span, whose ring bounds them.
 func (e *Executor) Events(id string) (Timeline, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	job, ok := e.jobs[id]
 	if !ok {
+		e.mu.Unlock()
 		return Timeline{}, ErrNotFound
 	}
-	return Timeline{
-		ID:        job.ID,
-		RequestID: job.RequestID,
-		State:     job.State,
-		Events:    job.timeline.snapshot(),
-		Dropped:   job.timeline.dropped,
-	}, nil
+	tl := Timeline{ID: job.ID, RequestID: job.RequestID, State: job.State}
+	evs, dropped := job.rootSpan.Events()
+	e.mu.Unlock()
+	tl.Dropped = dropped
+	for _, ev := range evs {
+		if ev.Kind == obs.EventLifecycle {
+			tl.Events = append(tl.Events, Event{Seq: ev.Seq, At: ev.At, Type: ev.Name, Detail: ev.Detail})
+		}
+	}
+	return tl, nil
 }
 
 // QueueDepth reports the current backlog.
@@ -602,23 +587,23 @@ func (e *Executor) worker() {
 			ctx, cancel = context.WithCancel(ctx)
 		}
 		// The job context carries the request ID and a request-tagged
-		// logger, so everything downstream — sim runs, twin batches, flight
-		// breadcrumbs — logs under the submission's identity.
+		// logger, so everything downstream — sim runs, twin batches — logs
+		// under the submission's identity.
 		ctx = obs.WithRequestID(ctx, job.RequestID)
 		ctx = obs.WithLogger(ctx, e.logger.With("request_id", job.RequestID, "job_id", job.ID))
+		started := time.Now()
 		job.State = StateRunning
-		job.StartedAt = time.Now()
+		job.StartedAt = started
 		job.cancel = cancel
 		spec, cfg := job.Spec, job.cfg
-		wait := job.StartedAt.Sub(job.SubmittedAt)
+		wait := started.Sub(job.SubmittedAt)
 		job.queueSpan.SetAttr("wait_s", wait.Seconds())
 		job.queueSpan.End() // admission-rooted queue span closes at dequeue
 		e.metrics.QueueWaitSeconds.Observe(wait.Seconds())
-		job.timeline.add(EventRunning, fmt.Sprintf("after %.3fs queued", wait.Seconds()))
-		e.notify(job, EventRunning, fmt.Sprintf("after %.3fs queued", wait.Seconds()))
+		e.transition(job, EventRunning, fmt.Sprintf("after %.3fs queued", wait.Seconds()))
 		if e.queueWarn > 0 && wait > e.queueWarn {
 			e.metrics.QueueWaitWarnings.Inc()
-			job.timeline.add(EventQueueWaitWarning,
+			e.transition(job, EventQueueWaitWarning,
 				fmt.Sprintf("queued %.3fs, threshold %s", wait.Seconds(), e.queueWarn))
 			e.logger.Warn("pathological queue wait",
 				"request_id", job.RequestID, "job_id", job.ID,
@@ -626,11 +611,11 @@ func (e *Executor) worker() {
 		}
 		e.mu.Unlock()
 
-		// Per-job observability. The metrics sink is always attached: it
-		// streams decision latency, phase timings, and degradations into
-		// the shared panel without perturbing the Result. Unless flight
-		// recording is off, the job also gets a flight recorder plus span
-		// tracing; their snapshot becomes the black box if the job fails.
+		// Per-job observability. The metrics sink streams decision latency,
+		// phase timings, and degradations into the shared panel without
+		// perturbing the Result. The job's span recorder, rooted at
+		// admission, collects the attempt and engine spans and their
+		// events; it becomes the black box if the job fails.
 		cfg.sim.Metrics = e.sink()
 		if e.invariants != nil {
 			if cfg.twin != nil {
@@ -646,37 +631,10 @@ func (e *Executor) worker() {
 		if p, ok := cfg.sim.Policy.(interface{ SetEMDLatency(*obs.Histogram) }); ok {
 			p.SetEMDLatency(e.metrics.EMDLatency.Base())
 		}
-		// The traced job minted its recorder (rooted at admission) in
-		// submitSlow; untraced executors fall back to a per-run recorder
-		// when flight recording wants spans.
-		rec := job.rec
-		var (
-			fl     *obs.FlightRecorder
-			before []metrics.Sample
-		)
-		if !e.flightOff {
-			fl = obs.NewFlightRecorder(e.flightLen)
-			if rec == nil {
-				rec = obs.NewRecorder(0)
-			}
-			before = e.metrics.Registry().Gather()
-			ctx = obs.WithFlight(ctx, fl)
-			fl.RecordAttrs(obs.FlightTimeline, "job.start",
-				fmt.Sprintf("dequeued after %.3fs queued", wait.Seconds()),
-				map[string]string{
-					"job_id": job.ID, "request_id": job.RequestID,
-					"workload": spec.Workload, "policy": spec.Policy,
-					"trace_id": job.traceID(),
-				})
-		}
-		if rec != nil {
-			ctx = obs.WithRecorder(ctx, rec)
-		}
-		if job.rootSpan != nil {
-			// Attempt and engine spans opened down the call chain nest
-			// under the request's root span.
-			ctx = obs.WithSpan(ctx, job.rootSpan)
-		}
+		// Attempt and engine spans opened down the call chain nest under
+		// the request's root span.
+		ctx = obs.WithSpan(obs.WithRecorder(ctx, job.rec), job.rootSpan)
+		before := e.metrics.Registry().Gather()
 
 		// Label the execution for CPU profiles: with -pprof, samples segment
 		// by job kind and the request that submitted the work.
@@ -697,62 +655,36 @@ func (e *Executor) worker() {
 		cancel()
 		e.metrics.WorkersBusy.Add(-1)
 		if err == nil {
-			// Encode the outcome once, outside the lock, so every future
-			// cache hit reuses the bytes instead of re-marshaling.
+			// Host timings stay on the sim.run span; the cached bytes must
+			// depend on the spec alone. Encode the outcome once, outside
+			// the lock, so every future cache hit reuses the bytes.
+			out.dropTiming()
 			out.primeRaw()
 		}
 
-		e.mu.Lock()
-		job.Attempts = attempts
-		job.FinishedAt = time.Now()
-		e.cache.clearFlight(job.key, job)
+		// Everything a finished job leaves behind — metrics, the black box,
+		// the tail-sampling decision — is in place before its terminal
+		// state is published, so a reader that sees the job terminal finds
+		// its record complete.
+		finished := time.Now()
+		wall := finished.Sub(started)
+		state := StateDone
 		switch {
-		case err == nil:
-			job.State = StateDone
-			job.Outcome = out
-			job.timeline.add(EventDone, fmt.Sprintf("%d attempt(s)", attempts))
-			e.notify(job, EventDone, fmt.Sprintf("%d attempt(s)", attempts))
-			e.cache.putOutcome(job, out)
-			e.metrics.JobsCompleted.Inc()
 		case errors.Is(err, context.Canceled):
-			job.State = StateCancelled
-			job.Err = err.Error()
-			job.timeline.add(EventCancelled, err.Error())
-			e.notify(job, EventCancelled, err.Error())
+			state = StateCancelled
 			e.metrics.JobsCancelled.Inc()
-		default:
-			job.State = StateFailed
-			job.Err = err.Error()
-			job.timeline.add(EventFailed, err.Error())
-			e.notify(job, EventFailed, err.Error())
+		case err != nil:
+			state = StateFailed
 			e.metrics.JobsFailed.Inc()
+		default:
+			e.metrics.JobsCompleted.Inc()
 		}
-		state := job.State
-		wall := job.FinishedAt.Sub(job.StartedAt)
 		e.metrics.JobWallSeconds.Observe(wall.Seconds())
 		if cfg.twin != nil {
 			e.metrics.TTELatency.Observe(wall.Seconds())
 		}
-		reqID, jobID := job.RequestID, job.ID
-		e.mu.Unlock()
-		job.rootSpan.SetAttr("state", string(state))
-		job.rootSpan.SetAttr("attempts", attempts)
-		job.rootSpan.End()
-
-		switch state {
-		case StateDone:
-			e.logger.Info("job done", "request_id", reqID, "job_id", jobID,
-				"wall_s", wall.Seconds(), "queue_wait_s", wait.Seconds(), "attempts", attempts)
-		case StateCancelled:
-			e.logger.Info("job cancelled", "request_id", reqID, "job_id", jobID,
-				"wall_s", wall.Seconds())
-		default:
-			e.logger.Warn("job failed", "request_id", reqID, "job_id", jobID,
-				"wall_s", wall.Seconds(), "attempts", attempts, "error", err)
-		}
-
-		// Feed the breaker outside the job lock; a cancellation says
-		// nothing about the registry entry's health, so skip it.
+		// A cancellation says nothing about the registry entry's health,
+		// so it does not feed the breaker.
 		if state != StateCancelled {
 			if e.breakers.Record(breakerKey(spec), state == StateFailed) {
 				e.metrics.BreakerTrips.Inc()
@@ -771,36 +703,61 @@ func (e *Executor) worker() {
 					Add(uint64(n))
 			}
 		}
-
-		// Cut the black box last, so the metric deltas include everything
-		// the failure moved (failed counter, wall histogram, retries).
-		if fl != nil && state == StateFailed {
-			fl.RecordAttrs(obs.FlightTimeline, "job.end", err.Error(),
-				map[string]string{
-					"state":    string(state),
-					"attempts": fmt.Sprintf("%d", attempts),
-					"wall_s":   fmt.Sprintf("%.3f", wall.Seconds()),
-				})
-			box := fl.Snapshot(
-				fmt.Sprintf("job failed after %d attempt(s): %v", attempts, err), rec)
-			box.TraceID = job.traceID()
-			deltas := metrics.DeltaSamples(before, e.metrics.Registry().Gather())
-			flight := &JobFlight{
-				ID: job.ID, RequestID: job.RequestID, State: job.State,
-				Error: job.Err, Attempts: job.Attempts, TraceID: box.TraceID,
-				Box: box, MetricDeltas: deltas,
-			}
-			if flight.TraceID != "" {
-				flight.TraceURL = "/v1/traces/" + flight.TraceID
-			}
-			e.mu.Lock()
-			job.flight = flight
-			e.mu.Unlock()
+		var deltas []metrics.Delta
+		if state == StateFailed {
+			// Every counter the failure moved has moved by now.
+			deltas = metrics.DeltaSamples(before, e.metrics.Registry().Gather())
 		}
 
-		// Tail-sampling decision last, so the stored waterfall includes
-		// the ended root span and the box cut above.
-		e.finalizeTrace(job, state, out, wait, wall, attempts)
+		e.mu.Lock()
+		job.State = state
+		job.Attempts = attempts
+		job.FinishedAt = finished
+		// A finished job keeps its outcome and record, not its resolved
+		// config (a capman job's scheduler and similarity matrices).
+		job.cfg = resolved{}
+		e.cache.clearFlight(job.key, job)
+		switch state {
+		case StateDone:
+			job.Outcome = out
+			e.transition(job, EventDone, fmt.Sprintf("%d attempt(s)", attempts))
+			e.cache.putOutcome(job, out)
+		case StateCancelled:
+			job.Err = err.Error()
+			e.transition(job, EventCancelled, err.Error())
+		default:
+			job.Err = err.Error()
+			e.transition(job, EventFailed, err.Error())
+		}
+		job.rootSpan.SetAttr("state", string(state))
+		job.rootSpan.SetAttr("attempts", attempts)
+		job.rootSpan.End()
+		if state == StateFailed {
+			box := job.rec.Box(fmt.Sprintf("job failed after %d attempt(s): %v", attempts, err))
+			box.TraceID = job.traceID()
+			job.flight = &JobFlight{
+				ID: job.ID, RequestID: job.RequestID, State: state,
+				Error: job.Err, Attempts: attempts, TraceID: box.TraceID,
+				Box: box, MetricDeltas: deltas,
+			}
+			if box.TraceID != "" {
+				job.flight.TraceURL = "/v1/traces/" + box.TraceID
+			}
+		}
+		e.finalizeTrace(job, state, out, cfg.twin != nil, wait, wall, attempts)
+		e.mu.Unlock()
+
+		switch state {
+		case StateDone:
+			e.logger.Info("job done", "request_id", job.RequestID, "job_id", job.ID,
+				"wall_s", wall.Seconds(), "queue_wait_s", wait.Seconds(), "attempts", attempts)
+		case StateCancelled:
+			e.logger.Info("job cancelled", "request_id", job.RequestID, "job_id", job.ID,
+				"wall_s", wall.Seconds())
+		default:
+			e.logger.Warn("job failed", "request_id", job.RequestID, "job_id", job.ID,
+				"wall_s", wall.Seconds(), "attempts", attempts, "error", err)
+		}
 	}
 }
 
@@ -848,15 +805,8 @@ func (e *Executor) sink() *sim.MetricsSink {
 // isRetryable) with exponential backoff until an attempt succeeds, the
 // retry budget is spent, or ctx — which carries the job timeout and
 // cancellation — expires. It reports how many attempts ran (at least 1)
-// and records each retry in the job's timeline.
+// and records each retry as a lifecycle transition.
 func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, cfg resolved) (*Outcome, int, error) {
-	fl := obs.FlightFrom(ctx)
-	log := e.logger
-	if fl != nil {
-		// Tee the job's log lines into its flight recorder: the black box
-		// keeps even records the main handler's level would discard.
-		log = slog.New(fl.TeeHandler(e.logger.Handler()))
-	}
 	attempts := 0
 	for {
 		attempts++
@@ -876,14 +826,12 @@ func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, c
 		e.metrics.JobRetries.Inc()
 		delay := backoff(e.retryBase, attempts)
 		e.mu.Lock()
-		job.timeline.add(EventRetrying,
+		e.transition(job, EventRetrying,
 			fmt.Sprintf("attempt %d failed (%v); backing off %s", attempts, err, delay.Round(time.Millisecond)))
-		e.notify(job, EventRetrying,
-			fmt.Sprintf("attempt %d failed; backing off %s", attempts, delay.Round(time.Millisecond)))
 		e.mu.Unlock()
-		fl.Recordf(obs.FlightTimeline, "job.retry",
-			"attempt %d failed (%v); backing off %s", attempts, err, delay.Round(time.Millisecond))
-		log.Warn("job attempt failed; retrying",
+		// Tee the warning onto the failed attempt's span: the record keeps
+		// it even when the service logger's level discards it.
+		slog.New(span.TeeHandler(e.logger.Handler())).Warn("job attempt failed; retrying",
 			"request_id", job.RequestID, "job_id", job.ID,
 			"attempt", attempts, "backoff", delay.String(), "error", err)
 		if !sleepCtx(ctx, delay) {
@@ -955,11 +903,10 @@ func runJob(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
 // GOMAXPROCS); results are bit-identical at any width, so the cache stays
 // content-addressed by spec alone.
 func runTTEJob(ctx context.Context, cfg twin.Config) (*Outcome, error) {
-	fl := obs.FlightFrom(ctx)
 	// The worker bound the submission's identity into the context; carry
-	// it into the twin engine's logs and the black-box breadcrumbs so a
-	// TTE failure is traceable back to its request.
-	log, reqID := obs.Logger(ctx), obs.RequestID(ctx)
+	// it into the twin engine's logs so a TTE failure is traceable back
+	// to its request.
+	log := obs.Logger(ctx)
 	b, err := twin.New(cfg)
 	if err != nil {
 		return nil, err
@@ -971,27 +918,22 @@ func runTTEJob(ctx context.Context, cfg twin.Config) (*Outcome, error) {
 	runSpan.SetAttr("steps", b.Steps())
 	defer runSpan.End()
 	log.Debug("tte batch start", "twins", b.Twins(), "steps", b.Steps())
-	fl.RecordAttrs(obs.FlightTimeline, "tte.start",
-		fmt.Sprintf("cohort of %d twins, %d steps each", b.Twins(), b.Steps()),
-		map[string]string{"request_id": reqID})
 	if err := b.Run(ctx, 0); err != nil {
 		log.Warn("tte batch aborted", "error", err)
 		return nil, err
 	}
 	s := b.Summarize()
-	for name, n := range s.InvariantViolations {
-		fl.RecordAttrs(obs.FlightInvariant, name,
-			fmt.Sprintf("%d violation(s) across the cohort", n),
-			map[string]string{
-				"severity":   string(invariant.SeverityOfName(name)),
-				"request_id": reqID,
-			})
+	if runSpan != nil {
+		for name, n := range s.InvariantViolations {
+			runSpan.Event(obs.EventInvariant, name,
+				fmt.Sprintf("%d violation(s) across the cohort", n),
+				map[string]string{"severity": string(invariant.SeverityOfName(name))})
+		}
+		runSpan.Event(obs.EventNote, "tte.done",
+			fmt.Sprintf("%d emptied, %d censored; p50 %.0fs", s.Emptied, s.Censored, s.TTEP50S), nil)
 	}
 	log.Debug("tte batch done",
 		"emptied", s.Emptied, "censored", s.Censored, "tte_p50_s", s.TTEP50S)
-	fl.RecordAttrs(obs.FlightTimeline, "tte.done",
-		fmt.Sprintf("%d emptied, %d censored; p50 %.0fs", s.Emptied, s.Censored, s.TTEP50S),
-		map[string]string{"request_id": reqID})
 	return &Outcome{TTE: s}, nil
 }
 
@@ -1036,8 +978,8 @@ func (e *Executor) Drain(ctx context.Context) error {
 				job.State = StateCancelled
 				job.Err = context.Canceled.Error()
 				job.FinishedAt = time.Now()
-				job.timeline.add(EventCancelled, "drain budget exhausted")
-				e.notify(job, EventCancelled, "drain budget exhausted")
+				job.cfg = resolved{}
+				e.transition(job, EventCancelled, "drain budget exhausted")
 				e.cache.clearFlight(job.key, job)
 				e.metrics.JobsCancelled.Inc()
 				cancelled++

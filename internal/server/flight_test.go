@@ -37,13 +37,34 @@ func alwaysFail(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, erro
 	return nil, fmt.Errorf("%w: injected post-run failure", ErrRetryable)
 }
 
+// boxEvents flattens the events of a span forest, depth first.
+func boxEvents(spans []obs.SpanNode) []obs.SpanEvent {
+	var out []obs.SpanEvent
+	for _, n := range spans {
+		out = append(out, n.Events...)
+		out = append(out, boxEvents(n.Children)...)
+	}
+	return out
+}
+
 // TestFailedJobFlightBox: a fault-injected job whose retries exhaust gets
-// a black box holding timeline events, degrade breadcrumbs, teed log
-// records, the span forest, and the registry metric deltas.
+// a black box whose spans carry the lifecycle events (retries included),
+// degrade breadcrumbs, and teed log records, plus the registry metric
+// deltas — whether or not request tracing is enabled. With tracing on the
+// box links a trace that resolves.
 func TestFailedJobFlightBox(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("trace-disable=%t", disable), func(t *testing.T) {
+			testFailedJobFlightBox(t, disable)
+		})
+	}
+}
+
+func testFailedJobFlightBox(t *testing.T, traceDisable bool) {
 	m := NewMetrics()
 	e := newTestExecutor(t, ExecutorConfig{
 		Workers: 1, Metrics: m, MaxRetries: 1, RetryBaseDelay: time.Millisecond,
+		Trace: TraceConfig{Disable: traceDisable, SampleRate: -1},
 	})
 	e.runFn = alwaysFail
 
@@ -56,45 +77,37 @@ func TestFailedJobFlightBox(t *testing.T) {
 		t.Fatalf("job ended %q, want failed", done.State)
 	}
 
-	// The box is deliberately cut *after* the terminal state flips (so its
-	// metric deltas include the failure counters), which leaves a short
-	// window where the job reads failed but Flight still says ErrNoFlight.
-	var fl *JobFlight
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		var err error
-		if fl, err = e.Flight(v.ID); err == nil {
-			break
-		} else if !errors.Is(err, ErrNoFlight) || !time.Now().Before(deadline) {
-			t.Fatalf("Flight(%s): %v", v.ID, err)
-		}
-		time.Sleep(2 * time.Millisecond)
+	// The box is cut before the terminal state is published: a job that
+	// reads failed already has it.
+	fl, err := e.Flight(v.ID)
+	if err != nil {
+		t.Fatalf("Flight(%s): %v", v.ID, err)
 	}
 	if fl.State != StateFailed || fl.Error == "" || fl.Attempts != 2 {
 		t.Errorf("flight header = %+v, want failed state, error, 2 attempts", fl)
 	}
-	if fl.Box.Reason == "" || len(fl.Box.Events) == 0 {
-		t.Fatalf("flight box empty: reason=%q events=%d", fl.Box.Reason, len(fl.Box.Events))
+	if fl.Box.Reason == "" || len(fl.Box.Spans) == 0 {
+		t.Fatalf("flight box empty: reason=%q spans=%d", fl.Box.Reason, len(fl.Box.Spans))
 	}
 
 	kinds := map[string]int{}
-	names := map[string]int{}
-	for _, ev := range fl.Box.Events {
+	lifecycle := map[string]int{}
+	for _, ev := range boxEvents(fl.Box.Spans) {
 		kinds[ev.Kind]++
-		names[ev.Name]++
-	}
-	for _, want := range []string{"job.start", "job.retry", "job.end"} {
-		if names[want] == 0 {
-			t.Errorf("flight box missing %s timeline event (have %v)", want, names)
+		if ev.Kind == obs.EventLifecycle {
+			lifecycle[ev.Name]++
 		}
 	}
-	if kinds[obs.FlightDegrade] == 0 {
+	for _, want := range []string{EventSubmitted, EventRunning, EventRetrying, EventFailed} {
+		if lifecycle[want] == 0 {
+			t.Errorf("flight box missing %s lifecycle event (have %v)", want, lifecycle)
+		}
+	}
+	if kinds[obs.EventDegrade] == 0 {
 		t.Errorf("flight box has no degrade breadcrumbs (kinds %v)", kinds)
 	}
-	if kinds[obs.FlightLog] == 0 {
+	if kinds[obs.EventLog] == 0 {
 		t.Errorf("flight box has no teed log records (kinds %v)", kinds)
-	}
-	if len(fl.Box.Spans) == 0 {
-		t.Error("flight box has no spans")
 	}
 	if len(fl.MetricDeltas) == 0 {
 		t.Fatal("flight box has no metric deltas")
@@ -110,6 +123,19 @@ func TestFailedJobFlightBox(t *testing.T) {
 		t.Errorf("deltas missing streamed decision latencies: %v", deltas)
 	}
 
+	if traceDisable {
+		if fl.TraceID != "" || fl.TraceURL != "" || fl.Box.TraceID != "" {
+			t.Errorf("tracing disabled but box links trace %q (%q)", fl.TraceID, fl.TraceURL)
+		}
+	} else {
+		if fl.TraceID == "" || fl.TraceURL != "/v1/traces/"+fl.TraceID || fl.Box.TraceID != fl.TraceID {
+			t.Errorf("box trace link = %q / %q / %q", fl.TraceID, fl.TraceURL, fl.Box.TraceID)
+		}
+		if _, ok := e.Traces().Get(fl.TraceID); !ok {
+			t.Error("flight box links a trace the sampler did not retain")
+		}
+	}
+
 	// The black box JSON (what the HTTP endpoint serves) is non-empty and
 	// round-trips.
 	var buf bytes.Buffer
@@ -120,27 +146,23 @@ func TestFailedJobFlightBox(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("box JSON does not round-trip: %v", err)
 	}
-	if len(back.Events) != len(fl.Box.Events) {
-		t.Errorf("round-trip lost events: %d != %d", len(back.Events), len(fl.Box.Events))
+	if got, want := len(boxEvents(back.Spans)), len(boxEvents(fl.Box.Spans)); got != want {
+		t.Errorf("round-trip lost events: %d != %d", got, want)
 	}
 }
 
-// TestFlightDisabledAndMissing: DisableFlight yields ErrNoFlight even for
-// failed jobs; unknown jobs stay ErrNotFound.
+// TestFlightDisabledAndMissing: a job that did not fail has no box
+// (ErrNoFlight) — with request tracing disabled too — and unknown jobs
+// stay ErrNotFound.
 func TestFlightDisabledAndMissing(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, MaxRetries: -1, DisableFlight: true,
-	})
-	e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
-		return nil, errors.New("boom")
-	}
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{Disable: true}})
 	v, err := e.Submit(fastSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateFailed }, "failed")
+	awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateDone }, "done")
 	if _, err := e.Flight(v.ID); !errors.Is(err, ErrNoFlight) {
-		t.Errorf("Flight with recording disabled: %v, want ErrNoFlight", err)
+		t.Errorf("Flight of a successful job: %v, want ErrNoFlight", err)
 	}
 	if _, err := e.Flight("j99999999"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Flight(unknown): %v, want ErrNotFound", err)
@@ -173,9 +195,9 @@ func TestFlightHTTPEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&fl); err != nil {
 		t.Fatal(err)
 	}
-	if fl.ID != v.ID || len(fl.Box.Events) == 0 || len(fl.MetricDeltas) == 0 {
+	if n := len(boxEvents(fl.Box.Spans)); fl.ID != v.ID || n == 0 || len(fl.MetricDeltas) == 0 {
 		t.Errorf("flight over HTTP incomplete: id=%q events=%d deltas=%d",
-			fl.ID, len(fl.Box.Events), len(fl.MetricDeltas))
+			fl.ID, n, len(fl.MetricDeltas))
 	}
 
 	for _, path := range []string{"/v1/jobs/nope/flight"} {

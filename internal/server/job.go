@@ -48,6 +48,15 @@ type Outcome struct {
 // the stock struct encoding without recursing.
 type outcomePlain Outcome
 
+// dropTiming clears the host-side cost breakdown a recorded sim run
+// attaches (Result.Timing), so an outcome's bytes depend on its spec
+// alone. The phase costs stay on the job's sim.run span.
+func (o *Outcome) dropTiming() {
+	if o != nil && o.Run != nil {
+		o.Run.Timing = nil
+	}
+}
+
 // primeRaw encodes the outcome once and memoizes the bytes. Idempotent;
 // called by the worker before the outcome is published, so raw needs no
 // lock afterwards.
@@ -75,9 +84,11 @@ func (o *Outcome) MarshalJSON() ([]byte, error) {
 // return immutable View snapshots.
 type Job struct {
 	ID string
+	// seq is the admission sequence number behind ID; List orders by it.
+	seq int
 	// RequestID identifies the submission that created the job (coalesced
-	// submissions share the job; their request IDs appear in the
-	// timeline). It tags every log line and event for the job.
+	// submissions share the job; their request IDs appear in its
+	// lifecycle events). It tags every log line and event for the job.
 	RequestID string
 	Hash      string
 	Spec      JobSpec
@@ -95,25 +106,23 @@ type Job struct {
 	StartedAt   time.Time
 	FinishedAt  time.Time
 
-	// timeline is the bounded lifecycle event log served at
-	// GET /v1/jobs/{id}/events.
-	timeline timeline
-
 	// flight is the black box cut when the job fails, served at
-	// GET /v1/jobs/{id}/flight; nil for jobs that never failed (or when
-	// the executor runs with DisableFlight).
+	// GET /v1/jobs/{id}/flight; nil for jobs that never failed.
 	flight *JobFlight
 
-	// Request-tracing state (trace.go): the trace identity minted or
-	// adopted at admission, the span recorder rooted there, and the
-	// request/queue spans the worker closes. All nil/zero when tracing is
-	// disabled. Written once at submission; the dequeuing worker owns
-	// them afterwards.
+	// The job's one record (trace.go): the span recorder rooted at
+	// admission, with the request/queue spans the worker closes. Lifecycle
+	// events live on rootSpan; /events, /flight and /v1/traces are views
+	// over rec. trace is the identity minted or adopted at admission, zero
+	// when tracing is disabled. Written once at submission; the dequeuing
+	// worker owns them afterwards.
 	trace     obs.TraceContext
 	rec       *obs.Recorder
 	rootSpan  *obs.Span
 	queueSpan *obs.Span
 
+	// cfg is the resolved executable form, zeroed once the job is
+	// terminal so finished jobs do not pin schedulers in the job table.
 	cfg    resolved
 	cancel context.CancelFunc
 }

@@ -195,7 +195,7 @@ func NewMetrics() *Metrics {
 }
 
 // Registry exposes the panel's underlying registry, for Gather snapshots
-// (the flight recorder's metric deltas) and SLO watchdog wiring.
+// (the flight box's metric deltas) and SLO watchdog wiring.
 func (m *Metrics) Registry() *metrics.Registry { return m.reg }
 
 // RegisterRuntime adds the Go runtime / process gauges and the build-info

@@ -314,31 +314,57 @@ func checkHistogram(t *testing.T, f *promFamily, wantCount float64) {
 
 // --- Per-job event timelines ---------------------------------------------
 
-// TestTimelineBounded drives the raw timeline past its cap: events stay
-// ordered, the length never exceeds the bound, Seq keeps counting across
-// drops, and the newest events survive.
+// TestTimelineBounded drives a finished job's timeline past its cap through
+// the executor's own transition path: events stay ordered, the length stops
+// growing at the request span's bound, Seq keeps counting across drops, the
+// drops are counted, and the newest events survive.
 func TestTimelineBounded(t *testing.T) {
-	var tl timeline
-	const n = maxJobEvents * 3
-	for i := 0; i < n; i++ {
-		tl.add(EventRetrying, fmt.Sprintf("attempt %d", i))
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
+	v, err := e.Submit(fastSpec())
+	if err != nil {
+		t.Fatal(err)
 	}
-	evs := tl.snapshot()
-	if len(evs) != maxJobEvents {
-		t.Fatalf("timeline length %d, want bound %d", len(evs), maxJobEvents)
+	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+
+	const n = 500
+	drive := func(from int) Timeline {
+		t.Helper()
+		e.mu.Lock()
+		job := e.jobs[v.ID]
+		for i := from; i < from+n; i++ {
+			e.transition(job, EventRetrying, fmt.Sprintf("attempt %d", i))
+		}
+		e.mu.Unlock()
+		tl, err := e.Events(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tl
 	}
-	if tl.dropped != n-maxJobEvents {
-		t.Errorf("dropped = %d, want %d", tl.dropped, n-maxJobEvents)
+	first := drive(0)
+	second := drive(n)
+	if len(first.Events) == 0 || len(first.Events) >= n {
+		t.Fatalf("timeline length %d after %d events, want a bound below %d", len(first.Events), n, n)
 	}
+	if len(second.Events) != len(first.Events) {
+		t.Fatalf("timeline grew from %d to %d events past its bound", len(first.Events), len(second.Events))
+	}
+	if second.Dropped != first.Dropped+n {
+		t.Errorf("dropped = %d, want %d", second.Dropped, first.Dropped+n)
+	}
+	evs := second.Events
 	for i, ev := range evs {
-		if want := n - maxJobEvents + i + 1; ev.Seq != want {
+		if want := second.Dropped + i + 1; ev.Seq != want {
 			t.Errorf("event %d has Seq %d, want %d", i, ev.Seq, want)
+		}
+		if ev.Type != EventRetrying {
+			t.Errorf("event %d type %q survived past the newest %d", i, ev.Type, len(evs))
 		}
 		if i > 0 && ev.At.Before(evs[i-1].At) {
 			t.Errorf("event %d timestamp went backwards", i)
 		}
 	}
-	if got := evs[len(evs)-1].Detail; got != fmt.Sprintf("attempt %d", n-1) {
+	if got := evs[len(evs)-1].Detail; got != fmt.Sprintf("attempt %d", 2*n-1) {
 		t.Errorf("newest event detail = %q", got)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/tsdb"
 )
@@ -82,8 +81,8 @@ type SLOConfig struct {
 //	POST   /v1/tte               submit a Monte Carlo time-to-empty job (JobSpec kind "tte")
 //	GET    /v1/jobs              list known jobs, newest first
 //	GET    /v1/jobs/{id}         poll a job's status and, once done, its outcome
-//	GET    /v1/jobs/{id}/events  the job's bounded lifecycle timeline
-//	GET    /v1/jobs/{id}/flight  a failed job's black box (flight recorder snapshot)
+//	GET    /v1/jobs/{id}/events  the job's lifecycle events (its request span's)
+//	GET    /v1/jobs/{id}/flight  a failed job's black box (its span recorder, cut)
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
 //	GET    /v1/registry          enumerate registered workloads and policies
 //	GET    /v1/query             range-query the in-process time-series store
@@ -105,7 +104,6 @@ type Server struct {
 	store    *tsdb.Store
 	bus      *tsdb.Bus
 	engine   *tsdb.Engine
-	ops      *obs.FlightRecorder // service-level breadcrumbs (anomaly alerts)
 	pumpStop chan struct{}
 	pumpDone chan struct{}
 }

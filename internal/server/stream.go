@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 )
 
@@ -61,9 +60,9 @@ type StreamSample struct {
 	ZoneTempC map[string]float64 `json:"zoneTempC,omitempty"`
 }
 
-// initTelemetry builds the store, bus, anomaly engine, and ops flight
-// recorder. Called by New before the executor is constructed (the
-// executor publishes job events onto the bus).
+// initTelemetry builds the store, bus, and anomaly engine. Called by New
+// before the executor is constructed (the executor publishes job events
+// onto the bus).
 func (s *Server) initTelemetry(cfg Config, ecfg ExecutorConfig) error {
 	tcfg := cfg.Telemetry
 	st, err := tsdb.New(tsdb.Config{
@@ -78,7 +77,6 @@ func (s *Server) initTelemetry(cfg Config, ecfg ExecutorConfig) error {
 	}
 	s.store = st
 	s.bus = tsdb.NewBus()
-	s.ops = obs.NewFlightRecorder(0)
 
 	detectors := []tsdb.Detector{
 		// A wedged worker pool: submissions climb, completions do not.
@@ -147,16 +145,10 @@ func (s *Server) initTelemetry(cfg Config, ecfg ExecutorConfig) error {
 	return nil
 }
 
-// onAlert fans one anomaly alert out to the ops flight recorder and the
-// live stream (the registry counter and the log line are the engine's
-// own job).
+// onAlert fans one anomaly alert out to the live stream (the registry
+// counter, the recent ring behind /v1/alerts, and the log line are the
+// engine's own job).
 func (s *Server) onAlert(a tsdb.Alert) {
-	s.ops.RecordAttrs(obs.FlightNote, "anomaly."+a.Detector, a.Message,
-		map[string]string{
-			"metric":   a.Metric,
-			"value":    fmt.Sprintf("%g", a.Value),
-			"baseline": fmt.Sprintf("%g", a.Baseline),
-		})
 	s.bus.Publish(tsdb.EventAlert, a.At, a)
 }
 
@@ -326,8 +318,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAlerts serves GET /v1/alerts: the anomaly engine's retained
-// alerts (newest first), the active detectors, and the ops breadcrumb
-// trail they left.
+// alerts (newest first) and the active detectors.
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if s.engine == nil {
 		writeError(w, http.StatusServiceUnavailable, errTelemetryOff)
@@ -338,9 +329,8 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		alerts = []tsdb.Alert{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"alerts":      alerts,
-		"detectors":   s.engine.Detectors(),
-		"breadcrumbs": s.ops.Events(),
+		"alerts":    alerts,
+		"detectors": s.engine.Detectors(),
 	})
 }
 

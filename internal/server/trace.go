@@ -16,11 +16,12 @@ import (
 // TraceConfig.Disable.
 var errTracingOff = errors.New("server: request tracing is disabled")
 
-// Request tracing: every job minted by the executor carries a 128-bit
+// Request tracing: every job minted by the executor carries a span
+// recorder rooted at admission — its one record, whose span events hold
+// the lifecycle, retries, teed logs and engine breadcrumbs — and a 128-bit
 // trace ID (taken from the submission's W3C traceparent header when one
-// was sent, minted otherwise) and a span recorder rooted at admission, so
-// one trace covers queue wait, every retry attempt, and the engine's
-// per-phase spans. The keep/drop decision is tail-based — made at
+// was sent, minted otherwise), so one trace covers queue wait, every retry
+// attempt, and the engine's per-phase spans. The keep/drop decision is tail-based — made at
 // completion by obs.TraceStore — so sheds, errors, exhausted retries,
 // SLO breaches, and fatal invariant violations are always retained while
 // healthy traces thin to a deterministic sample. Retained traces are
@@ -31,8 +32,9 @@ var errTracingOff = errors.New("server: request tracing is disabled")
 // TraceConfig tunes the request-tracing subsystem. The zero value traces
 // every job and retains healthy traces at the default sample rate.
 type TraceConfig struct {
-	// Disable turns request tracing off entirely: no trace IDs are minted,
-	// /v1/traces answers 503, and jobs keep only flight-recorder spans.
+	// Disable turns request tracing off: no trace IDs are minted, nothing
+	// is sampled, and /v1/traces answers 503. Jobs still record their
+	// spans and events, so /events and /flight keep working.
 	Disable bool
 	// SampleRate is the fraction of healthy (non-signal) traces retained
 	// (0 = default obs.DefaultTraceSampleRate; negative retains none;
@@ -174,10 +176,17 @@ func (e *Executor) armTraceSLO(queueWait, tte time.Duration) {
 // Traces exposes the retained-trace store; nil when tracing is disabled.
 func (e *Executor) Traces() *obs.TraceStore { return e.traces }
 
-// mintTrace assigns a job's trace identity and admission-rooted span
-// recorder. Called on the submit slow path under e.mu, after the job ID
-// is known. No-op when tracing is disabled.
+// mintTrace roots a minted job's span recorder at admission — the job's
+// one record, kept whether or not tracing is enabled — and, unless
+// tracing is disabled, assigns its trace identity. Called on the submit
+// slow path under e.mu, after the job ID is known.
 func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
+	job.rec = obs.NewRecorder(0)
+	job.rootSpan = job.rec.StartChild(nil, "request")
+	job.rootSpan.SetAttr("job_id", job.ID)
+	job.rootSpan.SetAttr("request_id", job.RequestID)
+	job.rootSpan.SetAttr("kind", traceKind(job.Spec))
+	job.queueSpan = job.rec.StartChild(job.rootSpan, "queue")
 	if e.traces == nil {
 		return
 	}
@@ -189,12 +198,6 @@ func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
 	// if any, was its parent and is not re-exported.
 	tr.SpanID = obs.NewSpanID()
 	job.trace = tr
-	job.rec = obs.NewRecorder(0)
-	job.rootSpan = job.rec.StartChild(nil, "request")
-	job.rootSpan.SetAttr("job_id", job.ID)
-	job.rootSpan.SetAttr("request_id", job.RequestID)
-	job.rootSpan.SetAttr("kind", traceKind(job.Spec))
-	job.queueSpan = job.rec.StartChild(job.rootSpan, "queue")
 }
 
 // recordShedTrace retains a one-span trace for a submission refused by
@@ -264,13 +267,13 @@ func (e *Executor) recordHitTrace(spec JobSpec, opts SubmitOpts, now time.Time) 
 // finalizeTrace makes the tail-sampling decision for a finished job and,
 // when the trace is retained, stores its span waterfall, pins exemplars
 // on the latency histograms, and emits a `trace` frame on the live
-// stream. Runs on the worker after the terminal state is published; the
-// job's post-dequeue fields are owned by this worker.
-func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall time.Duration, attempts int) {
+// stream. Runs on the worker under e.mu, as the terminal state is
+// published, so a job that reads terminal has its trace decided.
+func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, isTTE bool, wait, wall time.Duration, attempts int) {
 	if e.traces == nil || !job.trace.Valid {
 		return
 	}
-	flags := e.traceFlags(state, out, wait, wall, attempts, job.cfg.twin != nil)
+	flags := e.traceFlags(state, out, wait, wall, attempts, isTTE)
 	keep, decision := e.traces.Decide(job.trace.TraceID, len(flags) > 0)
 	e.traceDecisionCounter(decision)
 	if !keep {
@@ -294,7 +297,7 @@ func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall
 	// trace_id link always resolves at /v1/traces/{id}.
 	e.metrics.JobWallSeconds.SetExemplar(wall.Seconds(), id)
 	e.metrics.QueueWaitSeconds.SetExemplar(wait.Seconds(), id)
-	if job.cfg.twin != nil {
+	if isTTE {
 		e.metrics.TTELatency.SetExemplar(wall.Seconds(), id)
 	}
 	e.publishTrace(st)

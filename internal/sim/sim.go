@@ -67,10 +67,12 @@ type Config struct {
 	// Recorder, when non-nil, turns tracing on: the run opens a
 	// "sim.run" span, accumulates per-phase step cost, and populates
 	// Result.Timing with the phase breakdown and the per-step policy
-	// decision-latency histogram. When nil, RunContext also looks for a
-	// recorder on the context (obs.WithRecorder). Tracing never feeds
-	// back into the physics: a traced run's Result is bit-identical to an
-	// untraced one apart from the Timing field.
+	// decision-latency histogram. The span also carries the run's
+	// breadcrumbs as events: start and end notes, guard degradations, and
+	// the first violation of each invariant. When nil, RunContext also
+	// looks for a recorder on the context (obs.WithRecorder). Tracing never
+	// feeds back into the physics: a traced run's Result is bit-identical
+	// to an untraced one apart from the Timing field.
 	Recorder *obs.Recorder
 
 	// Metrics, when non-nil, streams instrumentation into external
@@ -84,7 +86,7 @@ type Config struct {
 	// Invariants, when non-nil, mounts the runtime safety-invariant
 	// checker: every step is vetted against the thermal/battery/TEC/switch
 	// contracts in internal/invariant, violations stream through
-	// Metrics.OnViolation and the flight recorder, and the run's summary
+	// Metrics.OnViolation and onto the sim.run span, and the run's summary
 	// lands in Result.Invariants. A fatal violation trips the degradation
 	// guard (mounted automatically, as with Faults) so the run degrades
 	// instead of integrating garbage. The checker observes true physics
@@ -311,7 +313,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		rec = obs.RecorderFrom(ctx)
 	}
 	sink := cfg.Metrics
-	fl := obs.FlightFrom(ctx)
 	var timer *stepTimer
 	var runSpan *obs.Span
 	if rec != nil || sink != nil {
@@ -329,37 +330,41 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		defer runSpan.End()
 	}
 	// Degradation transitions stream out as they happen: into the metrics
-	// sink and into the job's black box. The Result still gets the full
+	// sink and as events on the run span. The Result still gets the full
 	// list at run end either way.
-	if guard != nil && (fl != nil || (sink != nil && sink.OnDegrade != nil)) {
+	if guard != nil && (runSpan != nil || (sink != nil && sink.OnDegrade != nil)) {
 		guard.SetOnEvent(func(ev sched.DegradeEvent) {
 			if sink != nil && sink.OnDegrade != nil {
 				sink.OnDegrade(ev)
 			}
-			fl.RecordAttrs(obs.FlightDegrade, ev.Mode, ev.Detail, map[string]string{
-				"at":        fmt.Sprintf("%.1fs", ev.At),
-				"recovered": fmt.Sprintf("%t", ev.Recovered),
-			})
+			if runSpan != nil {
+				runSpan.Event(obs.EventDegrade, ev.Mode, ev.Detail, map[string]string{
+					"at":        fmt.Sprintf("%.1fs", ev.At),
+					"recovered": fmt.Sprintf("%t", ev.Recovered),
+				})
+			}
 		})
 	}
 	// Invariant violations stream the same way: into the metrics sink on
-	// every breach, and into the black box on the first breach per contract
+	// every breach, and onto the run span on the first breach per contract
 	// so a long-running ceiling excursion cannot flood the bounded ring.
-	if checker != nil && (fl != nil || (sink != nil && sink.OnViolation != nil)) {
+	if checker != nil && (runSpan != nil || (sink != nil && sink.OnViolation != nil)) {
 		checker.SetOnViolation(func(v invariant.Violation) {
 			if sink != nil && sink.OnViolation != nil {
 				sink.OnViolation(v)
 			}
-			if v.First {
-				fl.RecordAttrs(obs.FlightInvariant, v.Invariant, v.Detail, map[string]string{
+			if v.First && runSpan != nil {
+				runSpan.Event(obs.EventInvariant, v.Invariant, v.Detail, map[string]string{
 					"severity": string(v.Severity),
 					"at":       fmt.Sprintf("%.1fs", v.At),
 				})
 			}
 		})
 	}
-	fl.Recordf(obs.FlightNote, "sim.run", "start policy=%s workload=%s phone=%s",
-		res.Policy, res.Workload, res.Phone)
+	if runSpan != nil {
+		runSpan.Event(obs.EventNote, "sim.run", fmt.Sprintf("start policy=%s workload=%s phone=%s",
+			res.Policy, res.Workload, res.Phone), nil)
+	}
 	// Context-aware policies (CAPMAN's background similarity refresh) get
 	// the run context bound for the duration of the run, so cancelling the
 	// simulation also aborts a policy-internal precompute.
@@ -681,12 +686,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		runSpan.SetAttr("steps", res.Steps)
 		runSpan.SetAttr("endReason", string(res.EndReason))
 		runSpan.SetAttr("serviceTimeS", res.ServiceTimeS)
+		runSpan.Event(obs.EventNote, "sim.run", fmt.Sprintf("end reason=%q steps=%d serviceTimeS=%.0f degradations=%d",
+			string(res.EndReason), res.Steps, res.ServiceTimeS, len(res.Degradations)), nil)
 	}
 	if timer != nil && sink != nil && sink.PhaseSeconds != nil {
 		timer.reportPhases(sink.PhaseSeconds)
 	}
-	fl.Recordf(obs.FlightNote, "sim.run", "end reason=%q steps=%d serviceTimeS=%.0f degradations=%d",
-		string(res.EndReason), res.Steps, res.ServiceTimeS, len(res.Degradations))
 	logger.Debug("sim: run end",
 		"policy", res.Policy, "end", string(res.EndReason),
 		"steps", res.Steps, "serviceTimeS", res.ServiceTimeS)

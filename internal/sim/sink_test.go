@@ -65,12 +65,22 @@ func TestMetricsSinkCaptures(t *testing.T) {
 	}
 }
 
+// runSpanEvents returns the events on a recorder's sim.run span.
+func runSpanEvents(t *testing.T, rec *obs.Recorder) []obs.SpanEvent {
+	t.Helper()
+	tree := rec.Tree()
+	if len(tree) != 1 || tree[0].Name != "sim.run" {
+		t.Fatalf("span tree = %+v, want one sim.run root", tree)
+	}
+	return tree[0].Events
+}
+
 // TestSinkAndFlightCaptureDegrades: a stuck-switch run with a sink and an
-// ambient flight recorder streams degradation transitions into both,
-// matching what the Result records after the fact.
+// ambient span recorder streams degradation transitions into the sink and
+// onto the sim.run span, matching what the Result records after the fact.
 func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 	var streamed []sched.DegradeEvent
-	fl := obs.NewFlightRecorder(0)
+	rec := obs.NewRecorder(0)
 	cfg := smallConfig(sched.NewDual())
 	cfg.Faults = &fault.Plan{
 		Name:   "stuck-from-start",
@@ -79,7 +89,7 @@ func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 	cfg.Metrics = &MetricsSink{
 		OnDegrade: func(ev sched.DegradeEvent) { streamed = append(streamed, ev) },
 	}
-	res, err := RunContext(obs.WithFlight(context.Background(), fl), cfg)
+	res, err := RunContext(obs.WithRecorder(context.Background(), rec), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +101,9 @@ func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 			streamed, res.Degradations)
 	}
 	var degrades, notes int
-	for _, ev := range fl.Events() {
+	for _, ev := range runSpanEvents(t, rec) {
 		switch ev.Kind {
-		case obs.FlightDegrade:
+		case obs.EventDegrade:
 			degrades++
 			if ev.Name != sched.DegradeStuckSwitch {
 				t.Errorf("degrade event mode = %q", ev.Name)
@@ -101,14 +111,14 @@ func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 			if ev.Attrs["recovered"] == "" || ev.Attrs["at"] == "" {
 				t.Errorf("degrade event attrs incomplete: %v", ev.Attrs)
 			}
-		case obs.FlightNote:
+		case obs.EventNote:
 			notes++
 		}
 	}
 	if degrades != len(res.Degradations) {
-		t.Errorf("flight recorder holds %d degrade events, want %d", degrades, len(res.Degradations))
+		t.Errorf("run span holds %d degrade events, want %d", degrades, len(res.Degradations))
 	}
 	if notes < 2 {
-		t.Errorf("flight recorder holds %d run notes, want start+end", notes)
+		t.Errorf("run span holds %d run notes, want start+end", notes)
 	}
 }

@@ -70,6 +70,12 @@ go run ./cmd/capman-loadgen -inprocess -requests 120 -concurrency 4 \
 echo "== go test -race =="
 go test -race ./...
 
+# perfbench/ is a module of its own (it replaces repro with ../), so the
+# root ./... patterns above never build it; vet it and run its short tests
+# so the benchmark harness keeps compiling against the current API.
+echo "== perfbench module: vet + short tests =="
+(cd perfbench && go vet ./... && go test -short ./...)
+
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or crash without paying for stable timings.
 echo "== benchmark smoke (1 iteration each) =="
