@@ -152,13 +152,7 @@ type (
 	MetricSample = metrics.Sample
 	// MetricDelta is a series' movement between two Gather snapshots.
 	MetricDelta = metrics.Delta
-	// SLOObjective is one quantile-threshold objective for the watchdog.
-	SLOObjective = metrics.Objective
-	// SLOWatchdog evaluates burn rates over latency histograms.
-	SLOWatchdog = metrics.Watchdog
-	// SLOBreach is one watchdog conviction.
-	SLOBreach = metrics.Breach
-	// SLOConfig arms capmand's built-in watchdog via ServeConfig.SLO.
+	// SLOConfig arms capmand's burn-rate objectives via ServeConfig.SLO.
 	SLOConfig = server.SLOConfig
 
 	// FlightBox is a Recorder's snapshot — the "black box" cut when a run

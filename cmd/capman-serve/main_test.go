@@ -313,6 +313,32 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRunRejectsSLOWithoutTelemetry: SLO objectives are judged by the
+// telemetry plane's anomaly engine, so arming one with -no-telemetry is a
+// usage error, reported before anything listens. Either half alone is
+// fine (a pre-cancelled context makes an accepted run return at once).
+func TestRunRejectsSLOWithoutTelemetry(t *testing.T) {
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devNull.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, flag := range []string{"-slo-decision-p99", "-slo-queue-wait-p95", "-slo-tte-p99"} {
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", "-no-telemetry", flag, "1s"}, devNull)
+		if err == nil || !strings.Contains(err.Error(), "-no-telemetry") {
+			t.Errorf("%s with -no-telemetry: err = %v, want a usage error", flag, err)
+		}
+		if err := run(ctx, []string{"-addr", "127.0.0.1:0", flag, "1s"}, devNull); err != nil {
+			t.Errorf("%s alone: %v", flag, err)
+		}
+	}
+	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-no-telemetry"}, devNull); err != nil {
+		t.Errorf("-no-telemetry alone: %v", err)
+	}
+}
+
 // TestServeTraceSmoke is the request-tracing smoke run by check.sh: a
 // real daemon (trace sample rate 1) must retain a traced submission,
 // serve it from /v1/traces search and the by-ID waterfall with queue,

@@ -143,6 +143,43 @@ func TestBurnRate(t *testing.T) {
 	}
 }
 
+// TestBurnRateAgesOutAndRejectsInvalid: once a bad batch falls out of
+// the short window the rule goes quiet, and objectives with a quantile
+// outside (0, 1) or a non-positive threshold never page.
+func TestBurnRateAgesOutAndRejectsInvalid(t *testing.T) {
+	reg := metrics.NewRegistry()
+	lat := reg.Histogram("lat_seconds", "lat", []float64{0.1, 1})
+	st := newTestStore(t, reg, Config{})
+	st.Sample(at(0))
+	for i := 0; i < 10; i++ {
+		lat.Observe(5) // all bad
+	}
+	st.Sample(at(15 * time.Second))
+
+	d := BurnRate{Metric: "lat_seconds", Quantile: 0.99, Threshold: 1}
+	if got := d.Evaluate(at(15*time.Second), st); len(got) != 1 {
+		t.Fatalf("alerts while the batch is in both windows = %+v, want 1", got)
+	}
+	// No new observations: once the short window's baseline already
+	// includes the batch, its delta is empty and the rule clears.
+	for i := 2; i <= 6; i++ {
+		st.Sample(at(time.Duration(i) * 15 * time.Second))
+	}
+	if got := d.Evaluate(at(90*time.Second), st); len(got) != 0 {
+		t.Fatalf("burn did not age out of the short window: %+v", got)
+	}
+
+	for _, bad := range []BurnRate{
+		{Metric: "lat_seconds", Quantile: 1.5, Threshold: 1},
+		{Metric: "lat_seconds", Quantile: 0, Threshold: 1},
+		{Metric: "lat_seconds", Quantile: 0.99, Threshold: 0},
+	} {
+		if got := bad.Evaluate(at(15*time.Second), st); len(got) != 0 {
+			t.Errorf("invalid objective %+v paged: %+v", bad, got)
+		}
+	}
+}
+
 // TestEngine covers cooldown suppression, the anomaly counter, the
 // OnAlert hook, and the Recent ring.
 func TestEngine(t *testing.T) {
@@ -226,6 +263,10 @@ func TestEngineStartStop(t *testing.T) {
 	inert, _ := NewEngine(EngineConfig{Store: st})
 	inert.Start()
 	inert.Stop()
+
+	if got := inert.Cooldown(); got != time.Minute {
+		t.Errorf("default Cooldown() = %v, want 1m", got)
+	}
 
 	if _, err := NewEngine(EngineConfig{}); err == nil {
 		t.Error("NewEngine accepted a nil store")

@@ -433,8 +433,8 @@ func (e *Executor) shedReason() string {
 // ShedFor arms the burn-rate admission gate for the next d: new work
 // (cache hits and coalesced submissions excepted) is rejected with a
 // *ShedError until the deadline passes. Deadlines only ratchet forward —
-// concurrent callers keep the farthest one. The SLO watchdog calls this
-// on breach when SLOConfig.ShedOnBurn is set.
+// concurrent callers keep the farthest one. The server calls this on
+// every SLO burn-rate breach when SLOConfig.ShedOnBurn is set.
 func (e *Executor) ShedFor(d time.Duration) {
 	if d <= 0 {
 		return

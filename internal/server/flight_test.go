@@ -250,39 +250,3 @@ func TestStuckSwitchJobStreamsPanelMetrics(t *testing.T) {
 		t.Error("/metrics missing capman_degrade_total{reason=\"stuck-switch\"}")
 	}
 }
-
-// TestServerSLOWatchdogBreach arms the queue-wait SLO with an impossible
-// threshold, floods the histogram with slow observations, and waits for
-// the live watchdog to convict and bump capmand_slo_breach_total.
-func TestServerSLOWatchdogBreach(t *testing.T) {
-	m := NewMetrics()
-	s := New(Config{
-		Executor: ExecutorConfig{Workers: 1, Metrics: m},
-		SLO: SLOConfig{
-			QueueWaitP95: time.Microsecond, // everything observed is "bad"
-			Window:       50 * time.Millisecond,
-			Interval:     5 * time.Millisecond,
-		},
-	})
-	t.Cleanup(func() {
-		ctx, cancel := contextWithTimeout(2 * time.Second)
-		defer cancel()
-		_ = s.Drain(ctx)
-	})
-	if s.Watchdog() == nil {
-		t.Fatal("SLO configured but no watchdog armed")
-	}
-
-	time.Sleep(15 * time.Millisecond) // let the watchdog establish a baseline
-	for i := 0; i < 200; i++ {
-		m.QueueWaitSeconds.Observe(1.0)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if m.SLOBreaches.WithLabelValues("queue-wait-p95").Value() > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("watchdog never convicted a blatant SLO breach")
-}

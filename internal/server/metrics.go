@@ -70,7 +70,7 @@ type Metrics struct {
 	// Anomalies counts anomaly-engine alerts, by detector.
 	Anomalies *metrics.CounterVec
 
-	// SLOBreaches counts watchdog burn-rate breaches, labeled by objective.
+	// SLOBreaches counts SLO burn-rate alerts, labeled by objective.
 	SLOBreaches *metrics.CounterVec
 
 	// Shed counts submissions rejected by the admission gate before any
@@ -162,7 +162,7 @@ func NewMetrics() *Metrics {
 			"detector"),
 
 		SLOBreaches: reg.CounterVec("capmand_slo_breach_total",
-			"SLO watchdog burn-rate breaches, by objective.", "slo"),
+			"SLO burn-rate breaches fired by the anomaly engine, by objective.", "slo"),
 
 		Shed: reg.CounterVec("capmand_shed_total",
 			"Submissions shed by the admission gate, by reason.", "reason"),
@@ -195,7 +195,7 @@ func NewMetrics() *Metrics {
 }
 
 // Registry exposes the panel's underlying registry, for Gather snapshots
-// (the flight box's metric deltas) and SLO watchdog wiring.
+// (the flight box's metric deltas) and the telemetry store.
 func (m *Metrics) Registry() *metrics.Registry { return m.reg }
 
 // RegisterRuntime adds the Go runtime / process gauges and the build-info

@@ -36,8 +36,8 @@ type Config struct {
 	// empty the binary's embedded module version is used.
 	Version string
 
-	// SLO arms the burn-rate watchdog over the metrics panel's latency
-	// histograms; the zero value runs no watchdog.
+	// SLO arms burn-rate objectives over the metrics panel's latency
+	// histograms; the zero value arms none.
 	SLO SLOConfig
 
 	// Telemetry tunes the live telemetry plane — the in-process
@@ -47,11 +47,17 @@ type Config struct {
 	Telemetry TelemetryConfig
 }
 
-// SLOConfig configures the server's SLO watchdog. Each non-zero threshold
-// becomes one objective evaluated over a sliding window: the watchdog
-// compares the fraction of observations above the threshold against the
-// objective's error budget and, when the budget burns too fast, logs a
-// structured warning and increments capmand_slo_breach_total{slo=...}.
+// SLOConfig configures the server's latency objectives. Each non-zero
+// threshold arms one objective, evaluated by the anomaly engine as a
+// tsdb.BurnRate detector over the stored histogram: when the fraction of
+// observations above the threshold burns the objective's error budget
+// faster than it accrues over both the trailing minute and the trailing
+// ten minutes, the engine fires a "burn-rate" alert (GET /v1/alerts) and
+// the server increments capmand_slo_breach_total{slo=...}. Verdicts come
+// at the engine's AnomalyInterval and re-fire at most once per
+// AnomalyCooldown while the burn lasts. With Telemetry.Disable there is
+// no engine, so objectives only feed tail sampling (a request over its
+// threshold keeps its trace).
 type SLOConfig struct {
 	// DecisionP99 is the p99 target for capman_decision_latency_seconds
 	// (objective "decision-latency-p99"); zero disables it.
@@ -62,17 +68,35 @@ type SLOConfig struct {
 	// TTEP99 is the p99 target for capmand_tte_latency_seconds
 	// (objective "tte-latency-p99"); zero disables it.
 	TTEP99 time.Duration
-	// Window is the sliding evaluation window (default 5m).
-	Window time.Duration
-	// Interval is the evaluation cadence (default 15s).
-	Interval time.Duration
-	// MaxBurn is the burn rate above which a breach fires (default 1.0,
-	// i.e. burning the error budget exactly as fast as it accrues).
-	MaxBurn float64
 	// ShedOnBurn additionally arms the executor's admission gate on every
 	// breach: new submissions are shed with 429 (reason "burn-rate") for
-	// one evaluation interval, long enough to reach the next verdict.
+	// one anomaly cooldown, which a sustained burn renews when it re-fires.
 	ShedOnBurn bool
+}
+
+// sloObjective is one armed objective: quantile of the histogram family
+// metric stays under threshold. name labels capmand_slo_breach_total.
+type sloObjective struct {
+	name      string
+	metric    string
+	quantile  float64
+	threshold time.Duration
+}
+
+// objectives returns the armed objectives, one per non-zero threshold.
+func (c SLOConfig) objectives() []sloObjective {
+	all := []sloObjective{
+		{"decision-latency-p99", "capman_decision_latency_seconds", 0.99, c.DecisionP99},
+		{"queue-wait-p95", "capmand_queue_wait_seconds", 0.95, c.QueueWaitP95},
+		{"tte-latency-p99", "capmand_tte_latency_seconds", 0.99, c.TTEP99},
+	}
+	armed := all[:0]
+	for _, o := range all {
+		if o.threshold > 0 {
+			armed = append(armed, o)
+		}
+	}
+	return armed
 }
 
 // Server is capmand's HTTP surface:
@@ -93,12 +117,11 @@ type SLOConfig struct {
 //	GET    /debug/buildinfo      version, Go runtime, and uptime
 //	GET    /debug/pprof/         runtime profiles (only with EnablePprof)
 type Server struct {
-	exec     *Executor
-	metrics  *Metrics
-	mux      *http.ServeMux
-	version  string
-	started  time.Time
-	watchdog *metrics.Watchdog
+	exec    *Executor
+	metrics *Metrics
+	mux     *http.ServeMux
+	version string
+	started time.Time
 
 	// Telemetry plane; all nil when Config.Telemetry.Disable is set.
 	store    *tsdb.Store
@@ -106,6 +129,12 @@ type Server struct {
 	engine   *tsdb.Engine
 	pumpStop chan struct{}
 	pumpDone chan struct{}
+
+	// slos are the armed objectives, whose burn-rate alerts onAlert
+	// turns into breaches; burnShed is how long each breach closes the
+	// admission gate (zero unless SLOConfig.ShedOnBurn).
+	slos     []sloObjective
+	burnShed time.Duration
 }
 
 // New builds the service and starts its worker pool.
@@ -143,54 +172,6 @@ func New(cfg Config) *Server {
 	}
 	s.metrics.RegisterRuntime(s.version)
 
-	var objectives []metrics.Objective
-	if cfg.SLO.DecisionP99 > 0 {
-		objectives = append(objectives, metrics.Objective{
-			Name:      "decision-latency-p99",
-			Source:    s.metrics.DecisionLatency.Base(),
-			Quantile:  0.99,
-			Threshold: cfg.SLO.DecisionP99.Seconds(),
-		})
-	}
-	if cfg.SLO.QueueWaitP95 > 0 {
-		objectives = append(objectives, metrics.Objective{
-			Name:      "queue-wait-p95",
-			Source:    s.metrics.QueueWaitSeconds.Base(),
-			Quantile:  0.95,
-			Threshold: cfg.SLO.QueueWaitP95.Seconds(),
-		})
-	}
-	if cfg.SLO.TTEP99 > 0 {
-		objectives = append(objectives, metrics.Objective{
-			Name:      "tte-latency-p99",
-			Source:    s.metrics.TTELatency.Base(),
-			Quantile:  0.99,
-			Threshold: cfg.SLO.TTEP99.Seconds(),
-		})
-	}
-	if len(objectives) > 0 {
-		shedFor := time.Duration(0)
-		if cfg.SLO.ShedOnBurn {
-			shedFor = cfg.SLO.Interval
-			if shedFor <= 0 {
-				shedFor = 15 * time.Second // the watchdog's default cadence
-			}
-		}
-		s.watchdog = metrics.NewWatchdog(metrics.WatchdogConfig{
-			Interval: cfg.SLO.Interval,
-			Window:   cfg.SLO.Window,
-			MaxBurn:  cfg.SLO.MaxBurn,
-			Logger:   ecfg.Logger,
-			OnBreach: func(b metrics.Breach) {
-				s.metrics.SLOBreaches.WithLabelValues(b.SLO).Inc()
-				if shedFor > 0 {
-					s.exec.ShedFor(shedFor)
-				}
-			},
-		}, objectives...)
-		s.watchdog.Start()
-	}
-
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("POST /v1/tte", s.handleTTE)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -226,15 +207,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Executor exposes the job engine (tests and embedders).
 func (s *Server) Executor() *Executor { return s.exec }
 
-// Watchdog exposes the SLO watchdog, nil when no SLO is configured.
-func (s *Server) Watchdog() *metrics.Watchdog { return s.watchdog }
-
-// Drain stops the SLO watchdog and the telemetry plane, then gracefully
-// stops the job engine; see Executor.Drain.
+// Drain stops the telemetry plane, then gracefully stops the job engine;
+// see Executor.Drain.
 func (s *Server) Drain(ctx context.Context) error {
-	if s.watchdog != nil {
-		s.watchdog.Stop()
-	}
 	s.stopTelemetry()
 	return s.exec.Drain(ctx)
 }

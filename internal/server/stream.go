@@ -106,26 +106,13 @@ func (s *Server) initTelemetry(cfg Config, ecfg ExecutorConfig) error {
 			Factor: 3, MinCount: 3,
 		},
 	}
-	// Each armed SLO also becomes a multi-window burn-rate detector over
-	// the stored histogram rings — the watchdog's rule, generalized.
-	if cfg.SLO.DecisionP99 > 0 {
+	// Each armed SLO becomes a multi-window burn-rate detector over its
+	// stored histogram ring; its alerts are the objective's only verdict.
+	s.slos = cfg.SLO.objectives()
+	for _, o := range s.slos {
 		detectors = append(detectors, tsdb.BurnRate{
-			Metric: "capman_decision_latency_seconds", Quantile: 0.99,
-			Threshold: cfg.SLO.DecisionP99.Seconds(),
-			Short:     time.Minute, Long: 10 * time.Minute,
-		})
-	}
-	if cfg.SLO.QueueWaitP95 > 0 {
-		detectors = append(detectors, tsdb.BurnRate{
-			Metric: "capmand_queue_wait_seconds", Quantile: 0.95,
-			Threshold: cfg.SLO.QueueWaitP95.Seconds(),
-			Short:     time.Minute, Long: 10 * time.Minute,
-		})
-	}
-	if cfg.SLO.TTEP99 > 0 {
-		detectors = append(detectors, tsdb.BurnRate{
-			Metric: "capmand_tte_latency_seconds", Quantile: 0.99,
-			Threshold: cfg.SLO.TTEP99.Seconds(),
+			Metric: o.metric, Quantile: o.quantile,
+			Threshold: o.threshold.Seconds(),
 			Short:     time.Minute, Long: 10 * time.Minute,
 		})
 	}
@@ -142,13 +129,26 @@ func (s *Server) initTelemetry(cfg Config, ecfg ExecutorConfig) error {
 		return err
 	}
 	s.engine = eng
+	if cfg.SLO.ShedOnBurn {
+		s.burnShed = eng.Cooldown()
+	}
 	return nil
 }
 
 // onAlert fans one anomaly alert out to the live stream (the registry
 // counter, the recent ring behind /v1/alerts, and the log line are the
-// engine's own job).
+// engine's own job). A burn-rate alert is also its objective's breach:
+// it is counted and, with ShedOnBurn, closes the admission gate until
+// the alert could next re-fire.
 func (s *Server) onAlert(a tsdb.Alert) {
+	if a.Detector == (tsdb.BurnRate{}).Name() {
+		for _, o := range s.slos {
+			if o.metric == a.Metric {
+				s.metrics.SLOBreaches.WithLabelValues(o.name).Inc()
+				s.exec.ShedFor(s.burnShed)
+			}
+		}
+	}
 	s.bus.Publish(tsdb.EventAlert, a.At, a)
 }
 

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -105,19 +106,21 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 func main() {
 	loadgen := flag.String("loadgen", "", "path to a capman-loadgen JSON report to embed under \"loadgen\"")
 	flag.Parse()
-	if err := run(*loadgen); err != nil {
+	if err := run(os.Stdin, os.Stdout, *loadgen); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(loadgenPath string) error {
+// run converts the benchmark output read from in into the trajectory
+// document written to w, failing on any broken zero-alloc gate.
+func run(in io.Reader, w io.Writer, loadgenPath string) error {
 	var out output
 	out.CPUs = runtime.NumCPU()
 	if out.CPUs < 4 {
 		out.CPUNote = fmt.Sprintf("only %d CPU(s) available: parallel speedup is bounded by the core count, not the engine", out.CPUs)
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
@@ -210,7 +213,7 @@ func run(loadgenPath string) error {
 		out.Loadgen = json.RawMessage(raw)
 	}
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }

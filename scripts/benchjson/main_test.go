@@ -1,0 +1,152 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// convert runs the tool over canned `go test -bench` output and decodes
+// the trajectory document it writes.
+func convert(t *testing.T, bench, loadgenPath string) (output, []byte, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(strings.NewReader(bench), &buf, loadgenPath); err != nil {
+		return output{}, nil, err
+	}
+	var doc output
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("tool wrote invalid JSON: %v\n%s", err, buf.Bytes())
+	}
+	return doc, buf.Bytes(), nil
+}
+
+const cannedBench = `goos: linux
+goarch: amd64
+pkg: repro/internal/simstruct
+BenchmarkEMD-2                                    	   10000	    123456 ns/op	    4096 B/op	      42 allocs/op
+BenchmarkEMDSolver-2                              	   20000	     60000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSimilarityIndexSized/n64/workers1-2      	     100	   2000000 ns/op	    1024 B/op	      10 allocs/op
+BenchmarkSimilarityIndexSized/n64/workers4-2      	     400	    500000 ns/op	    1024 B/op	      10 allocs/op
+BenchmarkBatchedStep-2                            	    1000	     51200 ns/op	       512.0 twins/op	       0 B/op	       0 allocs/op
+BenchmarkRegistryDisabled-2                       	 5000000	         2.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkCounterVecHot-2                          	 5000000	         9.0 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	repro/internal/simstruct	12.3s
+`
+
+func TestParsesBenchLines(t *testing.T) {
+	doc, _, err := convert(t, cannedBench, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != 7 {
+		t.Fatalf("parsed %d results, want 7 (non-benchmark lines skipped): %+v", len(doc.Results), doc.Results)
+	}
+	emd := doc.Results[0]
+	if emd.Name != "BenchmarkEMD" || emd.Iterations != 10000 || emd.NsPerOp != 123456 ||
+		emd.BytesPerOp != 4096 || emd.AllocsOp != 42 || emd.Metrics != nil {
+		t.Errorf("BenchmarkEMD = %+v", emd)
+	}
+	if got := doc.Results[2].Name; got != "BenchmarkSimilarityIndexSized/n64/workers1" {
+		t.Errorf("sub-benchmark name = %q, GOMAXPROCS suffix not stripped", got)
+	}
+	twin := doc.Results[4]
+	if twin.Name != "BenchmarkBatchedStep" || twin.NsPerOp != 51200 || twin.Metrics["twins/op"] != 512 {
+		t.Errorf("custom metric not parsed: %+v", twin)
+	}
+}
+
+func TestDerivedMetrics(t *testing.T) {
+	doc, _, err := convert(t, cannedBench, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := doc.Derived
+	if got := d.SpeedupWorkers4["n64"]; got != 4 {
+		t.Errorf("speedup_workers4[n64] = %g, want 4 (serial ns / 4-worker ns)", got)
+	}
+	// A zero-alloc solver divides by 1, not 0.
+	if d.EMDAllocsChecked != 42 || d.EMDAllocsSolver != 0 || d.EMDAllocsRatio != 42 {
+		t.Errorf("EMD allocs checked/solver/ratio = %g/%g/%g, want 42/0/42",
+			d.EMDAllocsChecked, d.EMDAllocsSolver, d.EMDAllocsRatio)
+	}
+	if d.TwinStepsPerSecPerCore == nil || *d.TwinStepsPerSecPerCore != 1e7 {
+		t.Errorf("twin steps/s/core = %v, want 1e7 (512 twins / 51200 ns)", d.TwinStepsPerSecPerCore)
+	}
+	if d.MetricsDisabledAllocs == nil || *d.MetricsDisabledAllocs != 0 ||
+		d.MetricsHotAllocs == nil || *d.MetricsHotAllocs != 0 {
+		t.Errorf("metrics alloc gates not recorded: disabled=%v hot=%v", d.MetricsDisabledAllocs, d.MetricsHotAllocs)
+	}
+}
+
+func TestZeroAllocGatesFailConversion(t *testing.T) {
+	for _, bench := range []string{"BenchmarkRegistryDisabled", "BenchmarkCounterVecHot"} {
+		var regressed []string
+		for _, line := range strings.Split(cannedBench, "\n") {
+			if strings.HasPrefix(line, bench+"-") {
+				line = strings.Replace(line, "0 allocs/op", "1 allocs/op", 1)
+			}
+			regressed = append(regressed, line)
+		}
+		_, _, err := convert(t, strings.Join(regressed, "\n"), "")
+		if err == nil || !strings.Contains(err.Error(), bench) {
+			t.Errorf("%s at 1 allocs/op: err = %v, want a gate failure naming it", bench, err)
+		}
+	}
+	// The serving hit-path gate binds only when the benchmark iterated:
+	// a -benchtime 1x smoke line is exempt, a real run is not.
+	smoke := "BenchmarkAdmissionPath/hit-2 \t 1 \t 900 ns/op \t 64 B/op \t 3 allocs/op\n"
+	if _, _, err := convert(t, smoke, ""); err != nil {
+		t.Errorf("single-iteration smoke run failed the hit gate: %v", err)
+	}
+	iterated := "BenchmarkAdmissionPath/hit-2 \t 100000 \t 900 ns/op \t 64 B/op \t 3 allocs/op\n"
+	if _, _, err := convert(t, iterated, ""); err == nil {
+		t.Error("allocating hit path passed the gate")
+	}
+	if _, _, err := convert(t, "PASS\nok repro 0.1s\n", ""); err == nil {
+		t.Error("input without benchmark lines converted")
+	}
+}
+
+func TestLoadgenEmbeddedVerbatim(t *testing.T) {
+	dir := t.TempDir()
+	report := []byte(`{"zeta": 1.50, "alpha": {"rps": 12345.0, "errors": 0}, "list": [3, 1, 2]}`)
+	path := filepath.Join(dir, "loadgen.json")
+	if err := os.WriteFile(path, report, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, raw, err := convert(t, cannedBench, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	// Key order and number spelling survive: only whitespace may differ.
+	var want, got bytes.Buffer
+	if err := json.Compact(&want, report); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&got, top["loadgen"]); err != nil {
+		t.Fatal(err)
+	}
+	if want.String() != got.String() {
+		t.Errorf("loadgen embedded as %s, want %s", got.String(), want.String())
+	}
+
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"rps":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := convert(t, cannedBench, bad); err == nil {
+		t.Error("invalid loadgen JSON embedded")
+	}
+	if _, _, err := convert(t, cannedBench, filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("missing loadgen report accepted")
+	}
+}

@@ -81,6 +81,12 @@ echo "== perfbench module: vet + short tests =="
 echo "== benchmark smoke (1 iteration each) =="
 go test -run='^$' -bench=. -benchtime=1x ./... > /dev/null
 
+# The gate tool itself: benchjson enforces the zero-alloc gates the
+# trajectories below rely on, so its parser, derived metrics, gates and
+# loadgen embedding are tested on canned bench output first.
+echo "== benchjson gate tool tests =="
+go test ./scripts/benchjson -count=1
+
 # The benchmark trajectories: one-iteration run through bench.sh so every
 # go test | benchjson pipeline (simstruct + twin + obs + serve, loadgen
 # included) stays executable end to end, including the twin
