@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "inprocess daemon: worker pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 256, "inprocess daemon: job queue depth")
 	cache := fs.Int("cache", 1024, "inprocess daemon: result cache capacity")
-	shedWatermark := fs.Int("shed-watermark", 0, "inprocess daemon: queue depth that sheds new work (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -101,7 +100,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	if *inprocess {
-		stop, base, err := startInprocess(*workers, *queue, *cache, *shedWatermark)
+		stop, base, err := startInprocess(*workers, *queue, *cache)
 		if err != nil {
 			return err
 		}
@@ -162,14 +161,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // startInprocess boots a loopback capmand with the telemetry plane off
 // (the load test exercises the job API, not the scraper) and returns its
 // base URL plus a stop function that drains it.
-func startInprocess(workers, queue, cache, shedWatermark int) (stop func(), base string, err error) {
+func startInprocess(workers, queue, cache int) (stop func(), base string, err error) {
 	srv := server.New(server.Config{
 		Logger: obs.Nop(),
 		Executor: server.ExecutorConfig{
-			Workers:            workers,
-			QueueDepth:         queue,
-			CacheSize:          cache,
-			ShedQueueWatermark: shedWatermark,
+			Workers:    workers,
+			QueueDepth: queue,
+			CacheSize:  cache,
 		},
 		Telemetry: server.TelemetryConfig{Disable: true},
 	})

@@ -73,8 +73,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	telemetryInterval := fs.Duration("telemetry-interval", 0, "time-series store scrape period (0 = default 1s)")
 	telemetryRetention := fs.Int("telemetry-retention", 0, "points retained per series in the time-series store (0 = default 600)")
 	anomalyInterval := fs.Duration("anomaly-interval", 0, "anomaly detector evaluation cadence (0 = default 15s)")
-	shedWatermark := fs.Int("shed-watermark", 0, "queue depth at which the admission gate sheds new work with 429 (0 disables)")
-	shedRetryAfter := fs.Duration("shed-retry-after", 0, "Retry-After hint attached to shed responses (0 = default 1s)")
 	shedOnBurn := fs.Bool("shed-on-burn", false, "let SLO burn-rate breaches close the admission gate for one anomaly cooldown (1m), renewed while the burn lasts")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http server limit for reading request headers (0 = none)")
 	readTimeout := fs.Duration("read-timeout", time.Minute, "http server limit for reading a full request (0 = none; streams exempt themselves)")
@@ -114,16 +112,14 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		Logger:      logger,
 		EnablePprof: *enablePprof,
 		Executor: server.ExecutorConfig{
-			Workers:            *workers,
-			QueueDepth:         *queue,
-			CacheSize:          *cache,
-			JobTimeout:         *jobTimeout,
-			MaxRetries:         *retries,
-			QueueWaitWarn:      *queueWaitWarn,
-			ShedQueueWatermark: *shedWatermark,
-			ShedRetryAfter:     *shedRetryAfter,
-			DisableInvariants:  *noInvariants,
-			Invariants:         invOverride,
+			Workers:           *workers,
+			QueueDepth:        *queue,
+			CacheSize:         *cache,
+			JobTimeout:        *jobTimeout,
+			MaxRetries:        *retries,
+			QueueWaitWarn:     *queueWaitWarn,
+			DisableInvariants: *noInvariants,
+			Invariants:        invOverride,
 			Breaker: server.BreakerConfig{
 				Threshold: *breakerThreshold,
 				Cooldown:  *breakerCooldown,
@@ -165,7 +161,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		"slo_decision_p99", sloDecisionP99.String(),
 		"slo_queue_wait_p95", sloQueueWaitP95.String(),
 		"slo_tte_p99", sloTTEP99.String(),
-		"shed_watermark", *shedWatermark,
 		"shed_on_burn", *shedOnBurn,
 		"invariants", !*noInvariants,
 		"telemetry", !*noTelemetry,

@@ -155,20 +155,6 @@ func (s *breakerSet) Record(key string, failed bool) (tripped bool) {
 	return false
 }
 
-// AbortProbe releases a half-open probe slot that Admit granted but the
-// caller could not use (for example the queue was full), so the next
-// submission can probe instead of waiting out a phantom in-flight job.
-func (s *breakerSet) AbortProbe(key string) {
-	if s.cfg.Threshold < 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.breakers[key]; ok && b.state == breakerHalfOpen {
-		b.probing = false
-	}
-}
-
 // States snapshots every known breaker's state for metrics.
 func (s *breakerSet) States() map[string]string {
 	s.mu.Lock()

@@ -84,22 +84,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-func TestBreakerAbortProbeFreesSlot(t *testing.T) {
-	s, clk := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
-	const key = "video/dual"
-	s.Record(key, true) // trips at threshold 1
-	clk.advance(2 * time.Second)
-
-	if err := s.Admit(key); err != nil {
-		t.Fatalf("probe Admit: %v", err)
-	}
-	// The caller could not enqueue (queue full): the slot must free up.
-	s.AbortProbe(key)
-	if err := s.Admit(key); err != nil {
-		t.Fatalf("Admit after AbortProbe: %v", err)
-	}
-}
-
 func TestBreakerDisabled(t *testing.T) {
 	s := newBreakerSet(BreakerConfig{Threshold: -1})
 	const key = "video/dual"

@@ -33,9 +33,8 @@ type resolved struct {
 
 // Executor errors, mapped onto HTTP statuses by the handler layer.
 var (
-	ErrNotFound  = errors.New("server: no such job")
-	ErrQueueFull = errors.New("server: queue full")
-	ErrDraining  = errors.New("server: draining, not accepting jobs")
+	ErrNotFound = errors.New("server: no such job")
+	ErrDraining = errors.New("server: draining, not accepting jobs")
 	// ErrShed matches (via errors.Is) submissions rejected by the admission
 	// gate; the concrete error is always a *ShedError carrying the reason
 	// and the suggested Retry-After.
@@ -43,8 +42,9 @@ var (
 )
 
 // ShedError is an admission-gate rejection: the daemon is overloaded
-// (queue past its watermark, or an SLO burn-rate breach armed the gate)
-// and the client should retry after RetryAfter. Mapped to HTTP 429.
+// (the queue is full, or an SLO burn-rate breach armed the gate) and the
+// client should retry after RetryAfter, a whole number of seconds. Mapped
+// to HTTP 429.
 type ShedError struct {
 	Reason     string // "queue-depth" or "burn-rate", the capmand_shed_total label
 	RetryAfter time.Duration
@@ -78,8 +78,9 @@ func isRetryable(err error) bool {
 type ExecutorConfig struct {
 	// Workers is the pool size (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the FIFO backlog (default 64); a full queue
-	// rejects submissions with ErrQueueFull rather than blocking.
+	// QueueDepth bounds the FIFO backlog (default 64); a full queue sheds
+	// submissions with a *ShedError (reason "queue-depth", HTTP 429)
+	// rather than blocking.
 	QueueDepth int
 	// JobTimeout caps each job's wall-clock execution; zero means no
 	// timeout. A timed-out job fails with context.DeadlineExceeded. The
@@ -101,14 +102,6 @@ type ExecutorConfig struct {
 	// negative disables caching). The cache is sharded across up to 16
 	// power-of-two shards sized from this capacity.
 	CacheSize int
-	// ShedQueueWatermark arms the queue-depth admission gate: submissions
-	// that would have to queue while the backlog is at or past this depth
-	// are rejected with a *ShedError (HTTP 429) instead of waiting for the
-	// queue to fill completely. Zero disables the gate.
-	ShedQueueWatermark int
-	// ShedRetryAfter is the Retry-After hint attached to shed responses
-	// (default 1s).
-	ShedRetryAfter time.Duration
 	// QueueWaitWarn is the queue-wait threshold above which a dequeued
 	// job logs a warning (with its request ID) and increments
 	// capmand_queue_wait_warnings_total (default 30s; negative disables).
@@ -165,9 +158,6 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 	if c.QueueWaitWarn == 0 {
 		c.QueueWaitWarn = 30 * time.Second
 	}
-	if c.ShedRetryAfter <= 0 {
-		c.ShedRetryAfter = time.Second
-	}
 	if c.QueueWaitWarn < 0 {
 		c.QueueWaitWarn = 0 // any negative value means "never warn"
 	}
@@ -194,20 +184,19 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 // check) happens with e.mu held, so the flight table and the job table
 // can never disagree; the Submit fast path takes only the shard lock.
 type Executor struct {
-	registry       *Registry
-	metrics        *Metrics
-	cache          *Cache
-	timeout        time.Duration
-	maxRetries     int
-	retryBase      time.Duration
-	queueWarn      time.Duration
-	shedWatermark  int
-	shedRetryAfter time.Duration
-	breakers       *breakerSet
-	logger         *slog.Logger
-	invariants     *invariant.Config                                          // nil when DisableInvariants
-	stream         *tsdb.Bus                                                  // nil: no live event stream
-	runFn          func(context.Context, JobSpec, resolved) (*Outcome, error) // test seam
+	registry   *Registry
+	metrics    *Metrics
+	cache      *Cache
+	workers    int
+	timeout    time.Duration
+	maxRetries int
+	retryBase  time.Duration
+	queueWarn  time.Duration
+	breakers   *breakerSet
+	logger     *slog.Logger
+	invariants *invariant.Config                                          // nil when DisableInvariants
+	stream     *tsdb.Bus                                                  // nil: no live event stream
+	runFn      func(context.Context, JobSpec, resolved) (*Outcome, error) // test seam
 
 	// Request tracing (trace.go). traces is nil when TraceConfig.Disable
 	// was set; the capmand_traces_total handles are cached so the
@@ -240,22 +229,21 @@ type Executor struct {
 func NewExecutor(cfg ExecutorConfig) *Executor {
 	cfg = cfg.withDefaults()
 	e := &Executor{
-		registry:       cfg.Registry,
-		metrics:        cfg.Metrics,
-		cache:          NewShardedCache(cfg.CacheSize, cacheShardsFor(cfg.CacheSize)),
-		timeout:        cfg.JobTimeout,
-		maxRetries:     cfg.MaxRetries,
-		retryBase:      cfg.RetryBaseDelay,
-		queueWarn:      cfg.QueueWaitWarn,
-		shedWatermark:  cfg.ShedQueueWatermark,
-		shedRetryAfter: cfg.ShedRetryAfter,
-		breakers:       newBreakerSet(cfg.Breaker),
-		logger:         cfg.Logger,
-		invariants:     cfg.Invariants,
-		stream:         cfg.Stream,
-		runFn:          runJob,
-		jobs:           make(map[string]*Job),
-		queue:          make(chan *Job, cfg.QueueDepth),
+		registry:   cfg.Registry,
+		metrics:    cfg.Metrics,
+		cache:      NewShardedCache(cfg.CacheSize, cacheShardsFor(cfg.CacheSize)),
+		workers:    cfg.Workers,
+		timeout:    cfg.JobTimeout,
+		maxRetries: cfg.MaxRetries,
+		retryBase:  cfg.RetryBaseDelay,
+		queueWarn:  cfg.QueueWaitWarn,
+		breakers:   newBreakerSet(cfg.Breaker),
+		logger:     cfg.Logger,
+		invariants: cfg.Invariants,
+		stream:     cfg.Stream,
+		runFn:      runJob,
+		jobs:       make(map[string]*Job),
+		queue:      make(chan *Job, cfg.QueueDepth),
 	}
 	if e.maxRetries < 0 {
 		e.maxRetries = 0
@@ -376,12 +364,12 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 			"job_id", job.ID, "job_request_id", job.RequestID, "hash", short(hash))
 		return job.view(), nil
 	}
-	if reason := e.shedReason(); reason != "" {
-		e.metrics.Shed.WithLabelValues(reason).Inc()
-		e.recordShedTrace(spec, opts, reason) // 429s are signal: always retained
+	if sh := e.shed(); sh != nil {
+		e.metrics.Shed.WithLabelValues(sh.Reason).Inc()
+		e.recordShedTrace(spec, opts, sh.Reason) // 429s are signal: always retained
 		log.Warn("submission shed by admission gate",
-			"reason", reason, "queue_depth", len(e.queue), "retry_after", e.shedRetryAfter.String())
-		return View{}, &ShedError{Reason: reason, RetryAfter: e.shedRetryAfter}
+			"reason", sh.Reason, "queue_depth", len(e.queue), "retry_after", sh.RetryAfter.String())
+		return View{}, sh
 	}
 	bkey := breakerKey(spec)
 	if err := e.breakers.Admit(bkey); err != nil {
@@ -396,14 +384,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 		Spec: spec, key: key, State: StateQueued, SubmittedAt: time.Now(), cfg: cfg,
 	}
 	e.mintTrace(job, opts)
-	select {
-	case e.queue <- job:
-	default:
-		e.breakers.AbortProbe(bkey) // don't leak a half-open probe slot
-		e.metrics.JobsFailed.Inc()
-		log.Warn("submission rejected: queue full", "depth", cap(e.queue))
-		return View{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(e.queue))
-	}
+	e.queue <- job // shed() saw a free slot; see its comment
 	// The worker cannot touch the job before e.mu is released, so both
 	// admission events land ahead of "running".
 	e.transition(job, EventSubmitted, specDetail(spec))
@@ -417,17 +398,42 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	return job.view(), nil
 }
 
-// shedReason evaluates the admission gate, cheapest check first; empty
-// means admit. Callers hold e.mu (len(e.queue) is racy but monotone
-// enough for a watermark either way).
-func (e *Executor) shedReason() string {
-	if e.shedWatermark > 0 && len(e.queue) >= e.shedWatermark {
-		return "queue-depth"
+// shed evaluates the admission gate; nil means admit. Callers hold e.mu.
+// Every queue send and the Drain close happen under e.mu too, and workers
+// only take from the queue, so a submission that finds a free slot here
+// cannot block on its send. The Retry-After hint is measured, not
+// configured: a full queue's is how long the pool needs to reach one
+// more job, a burn-rate gate's is the time left until it reopens.
+func (e *Executor) shed() *ShedError {
+	if backlog := len(e.queue); backlog >= cap(e.queue) {
+		return &ShedError{Reason: "queue-depth", RetryAfter: e.backlogWait(backlog)}
 	}
-	if until := e.shedUntil.Load(); until != 0 && time.Now().UnixNano() < until {
-		return "burn-rate"
+	if left := time.Until(time.Unix(0, e.shedUntil.Load())); left > 0 {
+		return &ShedError{Reason: "burn-rate", RetryAfter: wholeSeconds(left)}
 	}
-	return ""
+	return nil
+}
+
+// backlogWait estimates when a job submitted behind backlog queued jobs
+// would start: ceil((backlog+1)/workers) rounds of the mean job wall time
+// (capmand_job_wall_seconds), or 1s before any job has finished.
+func (e *Executor) backlogWait(backlog int) time.Duration {
+	n := e.metrics.JobWallSeconds.Count()
+	if n == 0 {
+		return time.Second
+	}
+	rounds := (backlog + e.workers) / e.workers
+	mean := e.metrics.JobWallSeconds.Sum() / float64(n)
+	return wholeSeconds(time.Duration(float64(rounds) * mean * float64(time.Second)))
+}
+
+// wholeSeconds rounds a Retry-After hint up to whole seconds, at least
+// one: the header carries integer seconds.
+func wholeSeconds(d time.Duration) time.Duration {
+	if d <= time.Second {
+		return time.Second
+	}
+	return (d + time.Second - 1).Truncate(time.Second)
 }
 
 // ShedFor arms the burn-rate admission gate for the next d: new work
@@ -524,15 +530,7 @@ func (e *Executor) Cancel(id string) (View, error) {
 	}
 	switch job.State {
 	case StateQueued:
-		job.State = StateCancelled
-		job.Err = context.Canceled.Error()
-		job.FinishedAt = time.Now()
-		job.cfg = resolved{}
-		e.transition(job, EventCancelled, "cancelled while queued")
-		e.cache.clearFlight(job.key, job)
-		e.metrics.JobsCancelled.Inc()
-		e.logger.Info("job cancelled while queued",
-			"request_id", job.RequestID, "job_id", job.ID)
+		e.finish(job, StateCancelled, nil, context.Canceled, "cancelled while queued", nil)
 	case StateRunning:
 		job.cancel() // worker publishes the terminal state
 	}
@@ -654,34 +652,18 @@ func (e *Executor) worker() {
 			})
 		cancel()
 		e.metrics.WorkersBusy.Add(-1)
-		if err == nil {
+		state, detail := StateDone, fmt.Sprintf("%d attempt(s)", attempts)
+		switch {
+		case err == nil:
 			// Host timings stay on the sim.run span; the cached bytes must
 			// depend on the spec alone. Encode the outcome once, outside
 			// the lock, so every future cache hit reuses the bytes.
 			out.dropTiming()
 			out.primeRaw()
-		}
-
-		// Everything a finished job leaves behind — metrics, the black box,
-		// the tail-sampling decision — is in place before its terminal
-		// state is published, so a reader that sees the job terminal finds
-		// its record complete.
-		finished := time.Now()
-		wall := finished.Sub(started)
-		state := StateDone
-		switch {
 		case errors.Is(err, context.Canceled):
-			state = StateCancelled
-			e.metrics.JobsCancelled.Inc()
-		case err != nil:
-			state = StateFailed
-			e.metrics.JobsFailed.Inc()
+			state, detail = StateCancelled, err.Error()
 		default:
-			e.metrics.JobsCompleted.Inc()
-		}
-		e.metrics.JobWallSeconds.Observe(wall.Seconds())
-		if cfg.twin != nil {
-			e.metrics.TTELatency.Observe(wall.Seconds())
+			state, detail = StateFailed, err.Error()
 		}
 		// A cancellation says nothing about the registry entry's health,
 		// so it does not feed the breaker.
@@ -703,62 +685,77 @@ func (e *Executor) worker() {
 					Add(uint64(n))
 			}
 		}
-		var deltas []metrics.Delta
-		if state == StateFailed {
-			// Every counter the failure moved has moved by now.
-			deltas = metrics.DeltaSamples(before, e.metrics.Registry().Gather())
-		}
-
 		e.mu.Lock()
-		job.State = state
 		job.Attempts = attempts
-		job.FinishedAt = finished
-		// A finished job keeps its outcome and record, not its resolved
-		// config (a capman job's scheduler and similarity matrices).
-		job.cfg = resolved{}
-		e.cache.clearFlight(job.key, job)
-		switch state {
-		case StateDone:
-			job.Outcome = out
-			e.transition(job, EventDone, fmt.Sprintf("%d attempt(s)", attempts))
-			e.cache.putOutcome(job, out)
-		case StateCancelled:
-			job.Err = err.Error()
-			e.transition(job, EventCancelled, err.Error())
-		default:
-			job.Err = err.Error()
-			e.transition(job, EventFailed, err.Error())
-		}
-		job.rootSpan.SetAttr("state", string(state))
-		job.rootSpan.SetAttr("attempts", attempts)
-		job.rootSpan.End()
-		if state == StateFailed {
-			box := job.rec.Box(fmt.Sprintf("job failed after %d attempt(s): %v", attempts, err))
-			box.TraceID = job.traceID()
-			job.flight = &JobFlight{
-				ID: job.ID, RequestID: job.RequestID, State: state,
-				Error: job.Err, Attempts: attempts, TraceID: box.TraceID,
-				Box: box, MetricDeltas: deltas,
-			}
-			if box.TraceID != "" {
-				job.flight.TraceURL = "/v1/traces/" + box.TraceID
-			}
-		}
-		e.finalizeTrace(job, state, out, cfg.twin != nil, wait, wall, attempts)
+		e.finish(job, state, out, err, detail, before)
 		e.mu.Unlock()
+	}
+}
 
-		switch state {
-		case StateDone:
-			e.logger.Info("job done", "request_id", job.RequestID, "job_id", job.ID,
-				"wall_s", wall.Seconds(), "queue_wait_s", wait.Seconds(), "attempts", attempts)
-		case StateCancelled:
-			e.logger.Info("job cancelled", "request_id", job.RequestID, "job_id", job.ID,
-				"wall_s", wall.Seconds())
-		default:
-			e.logger.Warn("job failed", "request_id", job.RequestID, "job_id", job.ID,
-				"wall_s", wall.Seconds(), "attempts", attempts, "error", err)
+// finish moves a job to its terminal state. It is the only code that
+// does, for the worker, Cancel and Drain alike, and it runs with e.mu
+// held so the job's record is complete before anyone sees it terminal:
+// outcome and cache publication, the lifecycle event, exactly one of
+// jobs_{completed,failed,cancelled}_total, the wall-time histograms (for
+// jobs that ran), closed queue and request spans, a failed job's flight
+// box, and the tail-sampling decision. before is the metrics snapshot
+// taken when the job started; the flight box reports what moved since.
+func (e *Executor) finish(job *Job, state State, out *Outcome, err error, detail string, before []metrics.Sample) {
+	job.State = state
+	job.FinishedAt = time.Now()
+	// A finished job keeps its outcome and record, not its resolved
+	// config (a capman job's scheduler and similarity matrices).
+	job.cfg = resolved{}
+	e.cache.clearFlight(job.key, job)
+	typ := EventDone
+	switch state {
+	case StateDone:
+		job.Outcome = out
+		e.cache.putOutcome(job, out)
+		e.metrics.JobsCompleted.Inc()
+	case StateFailed:
+		job.Err = err.Error()
+		e.metrics.JobsFailed.Inc()
+		typ = EventFailed
+	default:
+		job.Err = err.Error()
+		e.metrics.JobsCancelled.Inc()
+		typ = EventCancelled
+	}
+	e.transition(job, typ, detail)
+	wait, wall := job.waitWall()
+	if !job.StartedAt.IsZero() {
+		e.metrics.JobWallSeconds.Observe(wall.Seconds())
+		if job.Spec.Kind == "tte" {
+			e.metrics.TTELatency.Observe(wall.Seconds())
 		}
 	}
+	job.queueSpan.End()
+	job.rootSpan.SetAttr("state", string(state))
+	job.rootSpan.SetAttr("attempts", job.Attempts)
+	job.rootSpan.End()
+	if state == StateFailed {
+		box := job.rec.Box(fmt.Sprintf("job failed after %d attempt(s): %v", job.Attempts, err))
+		box.TraceID = job.traceID()
+		job.flight = &JobFlight{
+			ID: job.ID, RequestID: job.RequestID, State: state,
+			Error: job.Err, Attempts: job.Attempts, TraceID: box.TraceID,
+			// Every counter the failure moved has moved by now.
+			Box: box, MetricDeltas: metrics.DeltaSamples(before, e.metrics.Registry().Gather()),
+		}
+		if box.TraceID != "" {
+			job.flight.TraceURL = "/v1/traces/" + box.TraceID
+		}
+	}
+	e.finalizeTrace(job, state, out, wait, wall)
+
+	log := e.logger.Info
+	if state == StateFailed {
+		log = e.logger.Warn
+	}
+	log("job "+string(state), "request_id", job.RequestID, "job_id", job.ID,
+		"queue_wait_s", wait.Seconds(), "wall_s", wall.Seconds(),
+		"attempts", job.Attempts, "detail", detail)
 }
 
 // sink builds the MetricsSink that streams a running job's instrumentation
@@ -975,13 +972,7 @@ func (e *Executor) Drain(ctx context.Context) error {
 				job.cancel()
 				cancelled++
 			} else if job.State == StateQueued {
-				job.State = StateCancelled
-				job.Err = context.Canceled.Error()
-				job.FinishedAt = time.Now()
-				job.cfg = resolved{}
-				e.transition(job, EventCancelled, "drain budget exhausted")
-				e.cache.clearFlight(job.key, job)
-				e.metrics.JobsCancelled.Inc()
+				e.finish(job, StateCancelled, nil, context.Canceled, "drain budget exhausted", nil)
 				cancelled++
 			}
 		}

@@ -135,6 +135,15 @@ func (j *Job) traceID() string {
 	return j.trace.TraceID.String()
 }
 
+// waitWall splits a finished job's life into queue wait and run time. A
+// job that never ran (cancelled while queued) waited its whole life.
+func (j *Job) waitWall() (wait, wall time.Duration) {
+	if j.StartedAt.IsZero() {
+		return j.FinishedAt.Sub(j.SubmittedAt), 0
+	}
+	return j.StartedAt.Sub(j.SubmittedAt), j.FinishedAt.Sub(j.StartedAt)
+}
+
 // View is the JSON representation of a job returned by the HTTP API.
 type View struct {
 	ID        string `json:"id"`

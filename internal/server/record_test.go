@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/invariant"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -65,23 +66,94 @@ func cfgReleased(e *Executor, id string) bool {
 	return reflect.ValueOf(e.jobs[id].cfg).IsZero()
 }
 
-// TestTerminalJobsReleaseConfig: every terminal transition — done,
-// failed, cancelled while queued, cancelled by drain — zeroes the job's
-// resolved config, so finished jobs do not pin schedulers.
+// openSpans names a job's request and queue spans that are still in
+// progress.
+func openSpans(e *Executor, id string) []string {
+	e.mu.Lock()
+	rec := e.jobs[id].rec
+	e.mu.Unlock()
+	var open []string
+	var walk func([]obs.SpanNode)
+	walk = func(nodes []obs.SpanNode) {
+		for _, n := range nodes {
+			if (n.Name == "request" || n.Name == "queue") && n.InProgress {
+				open = append(open, n.Name)
+			}
+			walk(n.Children)
+		}
+	}
+	walk(rec.Tree())
+	return open
+}
+
+// checkRecord asserts that every job in ids — all the jobs the executor
+// has ended so far, each in state want — completed its record: resolved
+// config released, request and queue spans closed, exactly one
+// tail-sampling decision (the test executors retain every trace, so each
+// job's is stored), and exactly one terminal counter moved per job, the
+// one matching want.
+func checkRecord(t *testing.T, e *Executor, want State, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		v, err := e.Get(id)
+		if err != nil || v.State != want {
+			t.Fatalf("%s: state %q (err %v), want %q", id, v.State, err, want)
+		}
+		if !cfgReleased(e, id) {
+			t.Errorf("%s %s still holds its resolved config", want, id)
+		}
+		if open := openSpans(e, id); len(open) != 0 {
+			t.Errorf("%s %s left spans %v in progress", want, id, open)
+		}
+		if _, ok := e.Traces().Get(v.TraceID); !ok {
+			t.Errorf("%s %s: trace %q never decided and stored", want, id, v.TraceID)
+		}
+	}
+	var decisions uint64
+	for _, d := range []string{obs.TraceDecisionSignal, obs.TraceDecisionSampled, obs.TraceDecisionDropped} {
+		decisions += e.metrics.TracesTotal.WithLabelValues(d).Value()
+	}
+	if decisions != uint64(len(ids)) {
+		t.Errorf("capmand_traces_total = %d decisions for %d ended jobs, want one each", decisions, len(ids))
+	}
+	counters := map[State]uint64{
+		StateDone:      e.metrics.JobsCompleted.Value(),
+		StateFailed:    e.metrics.JobsFailed.Value(),
+		StateCancelled: e.metrics.JobsCancelled.Value(),
+	}
+	for state, got := range counters {
+		var wantN uint64
+		if state == want {
+			wantN = uint64(len(ids))
+		}
+		if got != wantN {
+			t.Errorf("terminal counter for %s = %d, want %d", state, got, wantN)
+		}
+	}
+}
+
+// TestTerminalJobsReleaseConfig drives all four terminal paths — done,
+// failed, cancelled while queued, cancelled by drain — with tracing on
+// and checks each completes the job's record (see checkRecord): finished
+// jobs do not pin schedulers, leave no span open, decide their trace once
+// and move exactly one terminal counter.
 func TestTerminalJobsReleaseConfig(t *testing.T) {
+	cfg := func(c ExecutorConfig) ExecutorConfig {
+		c.Workers = 1
+		c.Trace = TraceConfig{SampleRate: 1} // retain every trace
+		return c
+	}
 	t.Run("done", func(t *testing.T) {
-		e := newTestExecutor(t, ExecutorConfig{Workers: 1})
+		e := newTestExecutor(t, cfg(ExecutorConfig{}))
 		v, err := e.Submit(fastSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateDone }, "done")
-		if !cfgReleased(e, v.ID) {
-			t.Error("done job still holds its resolved config")
-		}
+		checkRecord(t, e, StateDone, v.ID)
 	})
 	t.Run("failed", func(t *testing.T) {
-		e := newTestExecutor(t, ExecutorConfig{Workers: 1, MaxRetries: -1})
+		e := newTestExecutor(t, cfg(ExecutorConfig{MaxRetries: -1}))
 		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
 			return nil, errors.New("boom")
 		}
@@ -90,12 +162,10 @@ func TestTerminalJobsReleaseConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateFailed }, "failed")
-		if !cfgReleased(e, v.ID) {
-			t.Error("failed job still holds its resolved config")
-		}
+		checkRecord(t, e, StateFailed, v.ID)
 	})
 	t.Run("cancelled-queued", func(t *testing.T) {
-		e := newTestExecutor(t, ExecutorConfig{Workers: 1})
+		e := newTestExecutor(t, cfg(ExecutorConfig{}))
 		running, err := e.Submit(slowSpec(50))
 		if err != nil {
 			t.Fatal(err)
@@ -108,12 +178,10 @@ func TestTerminalJobsReleaseConfig(t *testing.T) {
 		if _, err := e.Cancel(queued.ID); err != nil {
 			t.Fatal(err)
 		}
-		if !cfgReleased(e, queued.ID) {
-			t.Error("job cancelled while queued still holds its resolved config")
-		}
+		checkRecord(t, e, StateCancelled, queued.ID)
 	})
 	t.Run("cancelled-drain", func(t *testing.T) {
-		e := NewExecutor(ExecutorConfig{Workers: 1})
+		e := NewExecutor(cfg(ExecutorConfig{}))
 		running, err := e.Submit(slowSpec(52))
 		if err != nil {
 			t.Fatal(err)
@@ -128,14 +196,7 @@ func TestTerminalJobsReleaseConfig(t *testing.T) {
 		if err := e.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("drain error %v, want deadline exceeded", err)
 		}
-		for _, id := range []string{running.ID, queued.ID} {
-			if v, _ := e.Get(id); v.State != StateCancelled {
-				t.Errorf("%s state %q after drain, want cancelled", id, v.State)
-			}
-			if !cfgReleased(e, id) {
-				t.Errorf("%s still holds its resolved config after drain", id)
-			}
-		}
+		checkRecord(t, e, StateCancelled, running.ID, queued.ID)
 	})
 }
 

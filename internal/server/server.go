@@ -226,23 +226,7 @@ func (s *Server) Bus() *tsdb.Bus { return s.bus }
 func (s *Server) AnomalyEngine() *tsdb.Engine { return s.engine }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
-		return
-	}
-	view, err := s.exec.SubmitWith(spec, submitOptsFrom(r))
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	status := http.StatusAccepted
-	if view.State.Terminal() {
-		status = http.StatusOK // served from cache
-	}
-	writeJSON(w, status, view)
+	s.submit(w, r, "")
 }
 
 // handleTTE submits a Monte Carlo time-to-empty job. The body is a plain
@@ -250,19 +234,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // The job then flows through the same queue, cache, and breakers as
 // POST /v1/jobs and is polled at GET /v1/jobs/{id}.
 func (s *Server) handleTTE(w http.ResponseWriter, r *http.Request) {
+	s.submit(w, r, "tte")
+}
+
+// submit decodes a JobSpec body (unknown fields are a 400), pins the kind
+// the route implies, if any, and hands the spec to the executor: 202 for a
+// queued or coalesced job, 200 for a cache hit, the mapped error status
+// otherwise.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
 	var spec JobSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode tte spec: %w", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
 		return
 	}
-	if spec.Kind != "" && spec.Kind != "tte" {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: kind %q submitted to /v1/tte", ErrBadSpec, spec.Kind))
-		return
+	if kind != "" {
+		if spec.Kind != "" && spec.Kind != kind {
+			writeError(w, http.StatusBadRequest,
+				fmt.Errorf("%w: kind %q submitted to %s", ErrBadSpec, spec.Kind, r.URL.Path))
+			return
+		}
+		spec.Kind = kind
 	}
-	spec.Kind = "tte"
 	view, err := s.exec.SubmitWith(spec, submitOptsFrom(r))
 	if err != nil {
 		writeSubmitError(w, err)
@@ -373,7 +367,7 @@ func statusFor(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, ErrShed):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrBreakerOpen):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrBreakerOpen):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -382,14 +376,11 @@ func statusFor(err error) int {
 
 // writeSubmitError is writeError plus the Retry-After header that shed
 // (429) responses carry, telling well-behaved clients when to come back.
+// The executor already rounded the hint up to whole seconds.
 func writeSubmitError(w http.ResponseWriter, err error) {
 	var sh *ShedError
 	if errors.As(err, &sh) {
-		secs := int(sh.RetryAfter.Seconds())
-		if secs < 1 {
-			secs = 1 // Retry-After is integer seconds; round sub-second hints up
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", strconv.Itoa(int(sh.RetryAfter/time.Second)))
 	}
 	writeError(w, statusFor(err), err)
 }

@@ -266,14 +266,16 @@ func (e *Executor) recordHitTrace(spec JobSpec, opts SubmitOpts, now time.Time) 
 
 // finalizeTrace makes the tail-sampling decision for a finished job and,
 // when the trace is retained, stores its span waterfall, pins exemplars
-// on the latency histograms, and emits a `trace` frame on the live
-// stream. Runs on the worker under e.mu, as the terminal state is
-// published, so a job that reads terminal has its trace decided.
-func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, isTTE bool, wait, wall time.Duration, attempts int) {
+// on the latency histograms (only for jobs that ran, so they observed
+// them), and emits a `trace` frame on the live stream. Called by finish
+// under e.mu, as the terminal state is published, so a job that reads
+// terminal has its trace decided.
+func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall time.Duration) {
 	if e.traces == nil || !job.trace.Valid {
 		return
 	}
-	flags := e.traceFlags(state, out, wait, wall, attempts, isTTE)
+	isTTE := job.Spec.Kind == "tte"
+	flags := e.traceFlags(state, out, wait, wall, job.Attempts, isTTE)
 	keep, decision := e.traces.Decide(job.trace.TraceID, len(flags) > 0)
 	e.traceDecisionCounter(decision)
 	if !keep {
@@ -295,10 +297,12 @@ func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, isTTE bool
 	e.traces.Keep(st)
 	// Exemplars are pinned only for retained traces, so a p99 bucket's
 	// trace_id link always resolves at /v1/traces/{id}.
-	e.metrics.JobWallSeconds.SetExemplar(wall.Seconds(), id)
-	e.metrics.QueueWaitSeconds.SetExemplar(wait.Seconds(), id)
-	if isTTE {
-		e.metrics.TTELatency.SetExemplar(wall.Seconds(), id)
+	if !job.StartedAt.IsZero() {
+		e.metrics.JobWallSeconds.SetExemplar(wall.Seconds(), id)
+		e.metrics.QueueWaitSeconds.SetExemplar(wait.Seconds(), id)
+		if isTTE {
+			e.metrics.TTELatency.SetExemplar(wall.Seconds(), id)
+		}
 	}
 	e.publishTrace(st)
 }

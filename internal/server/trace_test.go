@@ -240,7 +240,7 @@ func TestTraceSignalRetention(t *testing.T) {
 	})
 
 	t.Run("shed", func(t *testing.T) {
-		e := newE(t, ExecutorConfig{QueueDepth: 8, ShedQueueWatermark: 1})
+		e := newE(t, ExecutorConfig{QueueDepth: 1})
 		release := shedGate(e)
 		defer release()
 		first := submitTraced(t, e, seededSpec(1), 3)
@@ -251,7 +251,7 @@ func TestTraceSignalRetention(t *testing.T) {
 		tc := obs.NewTraceContext()
 		_, err := e.SubmitWith(seededSpec(3), SubmitOpts{Trace: tc})
 		if !errors.Is(err, ErrShed) {
-			t.Fatalf("over-watermark submit returned %v, want ErrShed", err)
+			t.Fatalf("full-queue submit returned %v, want ErrShed", err)
 		}
 		tr, ok := e.Traces().Get(tc.TraceID.String())
 		if !ok {

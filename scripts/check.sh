@@ -67,6 +67,13 @@ echo "== loadgen smoke: 120 mixed requests, no errors, hits required =="
 go run ./cmd/capman-loadgen -inprocess -requests 120 -concurrency 4 \
     -keyspace 12 -tte-frac 0.25 -expect-no-errors -min-hit-rate 0.5 > /dev/null
 
+# Overload smoke: eight clients of unique misses against one worker and a
+# 4-deep queue. Overload must be shed as 429 + Retry-After (loadgen counts
+# those as shed); any 503 or other error fails the gate.
+echo "== overload smoke: full queue answers 429, never 503 =="
+go run ./cmd/capman-loadgen -inprocess -keyspace 100000 -prime=false -tte-frac 0 \
+    -workers 1 -queue 4 -concurrency 8 -requests 400 -expect-no-errors > /dev/null
+
 echo "== go test -race =="
 go test -race ./...
 
