@@ -71,6 +71,35 @@ func socCore(p *Params, avail, bound float64) float64 {
 	return clamp01((avail + bound) / cap)
 }
 
+// kibamLambda is the KiBaM head-gap relaxation rate k / (c*(1-c)).
+func kibamLambda(p *Params) float64 {
+	cFrac := p.AvailFraction
+	return p.KRate / (cFrac * (1 - cFrac))
+}
+
+// wellDecay is the KiBaM head-gap decay factor exp(-lambda*dt) over dt.
+func wellDecay(p *Params, dt float64) float64 { return math.Exp(-kibamLambda(p) * dt) }
+
+// stepCoeffs are the two per-step factors that depend only on the cell
+// parameters and dt: the KiBaM gap decay exp(-lambda*dt) and the
+// polarization blend 1-exp(-dt/tau). They are the only transcendental
+// calls in a step whose arguments never change within a fixed-dt run, so
+// Lanes computes them once (SetDT) while Cell computes them per call.
+// Both go through coeffsFor, so either way the values are bit-identical.
+type stepCoeffs struct {
+	decay float64
+	alpha float64
+}
+
+// coeffsFor computes the dt-only step factors.
+func coeffsFor(p *Params, dt float64) stepCoeffs {
+	c := stepCoeffs{decay: wellDecay(p, dt)}
+	if p.R1 > 0 {
+		c.alpha = 1 - math.Exp(-dt/(p.R1*p.C1))
+	}
+	return c
+}
+
 // wellsAfterCore solves the KiBaM two-well exchange exactly over dt under a
 // constant well drain. The head gap g = h2 - h1 obeys
 //
@@ -78,15 +107,14 @@ func socCore(p *Params, avail, bound float64) float64 {
 //
 // which has a closed-form exponential solution; total charge falls by
 // wellI*dt. The closed form is unconditionally stable for any dt, unlike a
-// forward-Euler exchange. ok is false when the available well cannot cover
-// the drain.
-func wellsAfterCore(p *Params, availNow, boundNow, wellI, dt float64) (avail, bound float64, ok bool) {
+// forward-Euler exchange. decay is wellDecay(p, dt). ok is false when the
+// available well cannot cover the drain.
+func wellsAfterCore(p *Params, availNow, boundNow, wellI, dt, decay float64) (avail, bound float64, ok bool) {
 	cFrac := p.AvailFraction
-	lambda := p.KRate / (cFrac * (1 - cFrac))
+	lambda := kibamLambda(p)
 	h1 := availNow / cFrac
 	h2 := boundNow / (1 - cFrac)
 	g := h2 - h1
-	decay := math.Exp(-lambda * dt)
 	gInf := wellI / (cFrac * lambda) // steady-state gap under this drain
 	gNew := g*decay + gInf*(1-decay)
 
@@ -131,12 +159,13 @@ func solveCurrentCore(p *Params, e, powerW, r0 float64) (i float64, code StepOut
 	return i, StepOK, 0
 }
 
-// stepCore advances one cell state by dt seconds under powerW at tempC. It
-// is the single source of truth for the discharge physics: Cell.Step and
-// Lanes.Step both call it, which is what makes batched and scalar runs
-// bit-identical. On a failed outcome the returned state is the input state,
-// unmodified. Validation of dt and powerW is the caller's job.
-func stepCore(p *Params, st coreState, powerW, tempC, dt float64) (coreState, StepResult, StepOutcome, float64) {
+// stepCore advances one cell state by dt seconds under powerW at tempC,
+// with c the dt-only factors from coeffsFor(p, dt). It is the single
+// source of truth for the discharge physics: Cell.Step and Lanes.Step both
+// call it, which is what makes batched and scalar runs bit-identical. On a
+// failed outcome the returned state is the input state, unmodified.
+// Validation of dt and powerW is the caller's job.
+func stepCore(p *Params, c stepCoeffs, st coreState, powerW, tempC, dt float64) (coreState, StepResult, StepOutcome, float64) {
 	if st.depleted {
 		if powerW > 0 {
 			return st, StepResult{}, StepDepleted, 0
@@ -145,7 +174,7 @@ func stepCore(p *Params, st coreState, powerW, tempC, dt float64) (coreState, St
 	}
 
 	r0 := p.r0At(tempC)
-	ocv := p.OCVAt(socCore(p, st.avail, st.bound))
+	ocv := interpOCV(p.OCV, socCore(p, st.avail, st.bound))
 	i, code, aux := solveCurrentCore(p, ocv-st.vPol, powerW, r0)
 	if code != StepOK {
 		return st, StepResult{}, code, aux
@@ -161,23 +190,20 @@ func stepCore(p *Params, st coreState, powerW, tempC, dt float64) (coreState, St
 	mult := p.drainMultiplier(i)
 	wellI := i*mult + parasiticI
 
-	avail, bound, ok := wellsAfterCore(p, st.avail, st.bound, wellI, dt)
+	avail, bound, ok := wellsAfterCore(p, st.avail, st.bound, wellI, dt, c.decay)
 	if !ok {
 		if powerW > 0 {
 			return st, StepResult{}, StepWellEmpty, 0
 		}
 		// Resting with an empty well: drain what little remains.
-		avail, bound, _ = wellsAfterCore(p, st.avail, st.bound, 0, dt)
+		avail, bound, _ = wellsAfterCore(p, st.avail, st.bound, 0, dt, c.decay)
 		avail -= math.Min(avail, wellI*dt)
 	}
 	st.avail, st.bound = avail, bound
 
 	// Polarization RC update (first-order exact step).
 	if p.R1 > 0 {
-		tau := p.R1 * p.C1
-		target := i * p.R1
-		alpha := 1 - math.Exp(-dt/tau)
-		st.vPol += (target - st.vPol) * alpha
+		st.vPol += (i*p.R1 - st.vPol) * c.alpha
 	}
 
 	v := ocv - st.vPol - i*r0
@@ -205,6 +231,10 @@ func stepCore(p *Params, st coreState, powerW, tempC, dt float64) (coreState, St
 // only through Step and Reset.
 type Lanes struct {
 	params Params
+	// coef holds coeffsFor(params, coefDT) once SetDT has run; coefDT is
+	// 0 (never a valid step) until then.
+	coef   stepCoeffs
+	coefDT float64
 	Avail  []float64
 	Bound  []float64
 	VPol   []float64
@@ -258,13 +288,26 @@ func (l *Lanes) SoC(i int) float64 {
 // Depleted reports whether cell i has been exhausted.
 func (l *Lanes) Depleted(i int) bool { return l.Depl[i] }
 
+// SetDT precomputes the dt-only step factors for a run at a fixed step, so
+// Step at that dt skips two exponentials per call. Call it before stepping
+// starts: Step only reads the cache, so concurrent Step calls on disjoint
+// lanes stay race-free.
+func (l *Lanes) SetDT(dt float64) {
+	l.coef, l.coefDT = coeffsFor(&l.params, dt), dt
+}
+
 // Step advances cell i exactly as Cell.Step would, returning the outcome
 // as a code instead of an error so the hot loop never allocates. On a
 // failed outcome the lane is left untouched. dt must be positive and
-// powerW non-negative; batch callers validate once up front.
+// powerW non-negative; batch callers validate once up front. A dt other
+// than the one given to SetDT is still exact, only slower.
 func (l *Lanes) Step(i int, powerW, tempC, dt float64) (StepResult, StepOutcome) {
+	c := l.coef
+	if dt != l.coefDT {
+		c = coeffsFor(&l.params, dt)
+	}
 	st := coreState{l.Avail[i], l.Bound[i], l.VPol[i], l.Depl[i]}
-	next, res, code, _ := stepCore(&l.params, st, powerW, tempC, dt)
+	next, res, code, _ := stepCore(&l.params, c, st, powerW, tempC, dt)
 	if code == StepOK {
 		l.Avail[i], l.Bound[i], l.VPol[i], l.Depl[i] = next.avail, next.bound, next.vPol, next.depleted
 	}

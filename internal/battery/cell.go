@@ -119,17 +119,7 @@ func (c *Cell) ocvNow() float64 { return c.params.OCVAt(c.SoC()) }
 // wellsAfter delegates to wellsAfterCore over the cell's own wells; the
 // KiBaM closed form is documented there.
 func (c *Cell) wellsAfter(wellI, dt float64) (avail, bound float64, ok bool) {
-	return wellsAfterCore(&c.params, c.avail, c.bound, wellI, dt)
-}
-
-// solveCurrent delegates to solveCurrentCore at the cell's present source
-// voltage, mapping the outcome code back onto the error the caller expects.
-func (c *Cell) solveCurrent(powerW, r0 float64) (float64, error) {
-	i, code, aux := solveCurrentCore(&c.params, c.ocvNow()-c.vPol, powerW, r0)
-	if code != StepOK {
-		return 0, code.toError(&c.params, powerW, aux)
-	}
-	return i, nil
+	return wellsAfterCore(&c.params, c.avail, c.bound, wellI, dt, wellDecay(&c.params, dt))
 }
 
 // canSupplyHorizonS is how long CanSupply requires the available well to
@@ -150,8 +140,10 @@ func (c *Cell) CanSupply(powerW, tempC float64) bool {
 	if c.avail <= 0 {
 		return false
 	}
-	i, err := c.solveCurrent(powerW, c.params.r0At(tempC))
-	if err != nil {
+	// Any non-OK outcome is simply infeasible: no error value is built,
+	// so a failing probe allocates nothing.
+	i, code, _ := solveCurrentCore(&c.params, c.ocvNow()-c.vPol, powerW, c.params.r0At(tempC))
+	if code != StepOK {
 		return false
 	}
 	// The wells must sustain the drain for the feasibility horizon.
@@ -172,7 +164,7 @@ func (c *Cell) Step(powerW, tempC, dt float64) (StepResult, error) {
 		return StepResult{}, fmt.Errorf("battery: negative power %v", powerW)
 	}
 	st := coreState{c.avail, c.bound, c.vPol, c.depleted}
-	next, res, code, aux := stepCore(&c.params, st, powerW, tempC, dt)
+	next, res, code, aux := stepCore(&c.params, coeffsFor(&c.params, dt), st, powerW, tempC, dt)
 	if code == StepIdleDepleted {
 		// A depleted cell resting at zero load is a no-op: no state
 		// change, no accounting.

@@ -203,6 +203,30 @@ func TestCannotSupplyExcessPower(t *testing.T) {
 	}
 }
 
+// TestCanSupplyAllocFree: CanSupply is a feasibility predicate the
+// schedulers probe every step, so neither a feasible nor an infeasible
+// answer may allocate — an infeasible one maps the step outcome straight to
+// false instead of formatting the error Step would report.
+func TestCanSupplyAllocFree(t *testing.T) {
+	c := newTestCell(t, NCA)
+	for _, tc := range []struct {
+		name   string
+		powerW float64
+		want   bool
+	}{
+		{"feasible", 2, true},
+		{"over peak power", 500, false}, // StepOverPeak
+		{"below cutoff", 35, false},     // StepBelowCutoff
+	} {
+		if got := c.CanSupply(tc.powerW, 25); got != tc.want {
+			t.Fatalf("%s: CanSupply(%vW) = %t, want %t", tc.name, tc.powerW, got, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.CanSupply(tc.powerW, 25) }); allocs != 0 {
+			t.Errorf("%s: CanSupply allocates %v/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestVEdgeShape: a load step produces the V-edge of Figure 3 — an
 // immediate drop, a transient minimum at/after the step, and partial
 // settling above the minimum.

@@ -122,7 +122,13 @@ func interpOCV(curve []OCVPoint, soc float64) float64 {
 	if soc >= last.SoC {
 		return last.V
 	}
-	i := sort.Search(len(curve), func(i int) bool { return curve[i].SoC >= soc })
+	// Linear scan for the first knot at or above soc: the same segment a
+	// binary search finds, without a closure call per probe on curves of
+	// a handful of knots.
+	i := 1
+	for curve[i].SoC < soc {
+		i++
+	}
 	lo, hi := curve[i-1], curve[i]
 	frac := (soc - lo.SoC) / (hi.SoC - lo.SoC)
 	return lo.V + frac*(hi.V-lo.V)
@@ -133,8 +139,10 @@ func interpOCV(curve []OCVPoint, soc float64) float64 {
 const maxDrainMult = 4.0
 
 // drainMultiplier is the well-depletion multiplier at discharge current i.
-func (p Params) drainMultiplier(i float64) float64 {
-	oneC := p.OneC()
+// The private per-step helpers take *Params: a value receiver would copy
+// the whole parameter set on every call.
+func (p *Params) drainMultiplier(i float64) float64 {
+	oneC := p.CapacityCoulomb / 3600 // OneC without copying p
 	if oneC <= 0 {
 		return 1
 	}
@@ -150,7 +158,7 @@ func (p Params) drainMultiplier(i float64) float64 {
 }
 
 // parasiticAt returns the standby drain at temperature t.
-func (p Params) parasiticAt(tempC float64) float64 {
+func (p *Params) parasiticAt(tempC float64) float64 {
 	if p.ParasiticW == 0 {
 		return 0
 	}
@@ -158,7 +166,7 @@ func (p Params) parasiticAt(tempC float64) float64 {
 }
 
 // r0At returns the series resistance at temperature t.
-func (p Params) r0At(tempC float64) float64 {
+func (p *Params) r0At(tempC float64) float64 {
 	if tempC <= 25 || p.RTempCoeff == 0 {
 		return p.R0
 	}

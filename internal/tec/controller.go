@@ -89,7 +89,7 @@ func (c *Controller) Step(coldC, hotC, dt float64) Output {
 
 // StepUnder is Step under an explicit health condition.
 func (c *Controller) StepUnder(coldC, hotC, dt float64, cond Condition) Output {
-	on, out := Advance(c.device, c.on, c.thresholdC, c.hysteresis, coldC, hotC, cond)
+	on, out := Advance(&c.device, c.on, c.thresholdC, c.hysteresis, coldC, hotC, cond)
 	if on != c.on {
 		c.flips++
 	}
@@ -106,8 +106,9 @@ func (c *Controller) StepUnder(coldC, hotC, dt float64, cond Condition) Output {
 // Advance is the pure value form of StepUnder: one hysteresis decision plus
 // the device's electro-thermal output, with no accumulators. Batch steppers
 // (internal/twin) carry the on flag per twin and call this directly; the
-// Controller delegates here, so both paths compute identical outputs.
-func Advance(d Device, on bool, thresholdC, hysteresisC, coldC, hotC float64, cond Condition) (bool, Output) {
+// Controller delegates here, so both paths compute identical outputs. d is
+// only read; a pointer keeps the per-step call from copying the device.
+func Advance(d *Device, on bool, thresholdC, hysteresisC, coldC, hotC float64, cond Condition) (bool, Output) {
 	switch {
 	case coldC >= thresholdC:
 		on = true

@@ -106,25 +106,14 @@ func (n *Network) SetTemperature(i int, tempC float64) error {
 // constants are small, so we subdivide conservatively.
 const maxSubstep = 0.05
 
-// Substeps returns the substep count and substep length Step uses to
-// integrate dt seconds. Exported so batch integrators (internal/twin) can
-// subdivide identically and stay bit-compatible with Network.Step.
-func Substeps(dt float64) (steps int, h float64) {
+// substeps returns the substep count and substep length Step (and the
+// phone kernel) use to integrate dt seconds.
+func substeps(dt float64) (steps int, h float64) {
 	steps = int(math.Ceil(dt / maxSubstep))
 	if steps < 1 {
 		steps = 1
 	}
 	return steps, dt / float64(steps)
-}
-
-// Nodes returns a copy of the network's node definitions.
-func (n *Network) Nodes() []Node {
-	return append([]Node(nil), n.nodes...)
-}
-
-// Links returns a copy of the network's links in integration order.
-func (n *Network) Links() []Link {
-	return append([]Link(nil), n.links...)
 }
 
 // Step advances the network by dt seconds with the given per-node heat
@@ -134,7 +123,7 @@ func (n *Network) Step(inputsW []float64, dt float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("thermal: non-positive dt %v", dt)
 	}
-	steps, h := Substeps(dt)
+	steps, h := substeps(dt)
 	flux := make([]float64, len(n.nodes))
 	for s := 0; s < steps; s++ {
 		for i := range flux {

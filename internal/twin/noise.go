@@ -42,10 +42,12 @@ func (b *Batch) gauss(i int) float64 {
 	u1 := u01(splitmix64(&b.rng[i]))
 	u2 := u01(splitmix64(&b.rng[i]))
 	r := math.Sqrt(-2 * math.Log(u1))
-	t := 2 * math.Pi * u2
-	b.gSpare[i] = r * math.Sin(t)
+	// Sincos shares one argument reduction between the pair and returns
+	// the same bits as separate Sin and Cos (TestSincosMatchesSinCos).
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	b.gSpare[i] = r * sin
 	b.gHas[i] = true
-	return r * math.Cos(t)
+	return r * cos
 }
 
 // ouCoeffs returns the exact discrete-time update coefficients for an

@@ -13,9 +13,9 @@
 // Carlo time-to-empty (TTE) distribution. With noise disabled a twin's
 // trajectory is bit-identical to sim.Run on the same configuration (the
 // oracle test in this package proves it), because both paths share the
-// scalar step kernels: battery stepCore via battery.Lanes, the thermal
-// integrator via thermal.Substeps and the same link/node order, and the TEC
-// via tec.Advance.
+// scalar step kernels: battery stepCore via battery.Lanes, the phone
+// thermal kernel thermal.PhoneKernel (Network.Step specialised to the phone
+// topology, pinned bit-identical to it), and the TEC via tec.Advance.
 //
 // Results are a pure function of (Config, Seed): twins are independent, so
 // chunking them across any number of workers is bit-identical to a serial
@@ -158,10 +158,6 @@ const (
 	endCensored
 )
 
-// maxNodes bounds the thermal network size so the integrator's flux buffer
-// can live on the stack; the phone network has 5 nodes.
-const maxNodes = 8
-
 // chunkTwins is how many twins one worker claims at a time; large enough to
 // amortize channel traffic, small enough to balance uneven death times.
 const chunkTwins = 256
@@ -184,12 +180,9 @@ type Batch struct {
 	nows      []float64 // simulated time at the start of step k
 	endNow    float64   // simulated time after the last step
 
-	// Thermal network structure, shared by every twin.
-	nodes   []thermal.Node
-	links   []thermal.Link
-	nNodes  int
-	thSteps int
-	thH     float64
+	// Thermal kernel and initial node temperatures, shared by every twin.
+	thermal thermal.PhoneKernel
+	initC   [thermal.PhoneNodes]float64
 
 	hasTEC bool
 	tecDev tec.Device
@@ -197,7 +190,7 @@ type Batch struct {
 	cells *battery.Lanes
 
 	// Per-twin lanes.
-	temps      []float64 // twin-major, nNodes per twin
+	temps      [][thermal.PhoneNodes]float64
 	maxCPU     []float64
 	maxBody    []float64
 	tecOn      []bool
@@ -269,13 +262,12 @@ func New(cfg Config) (*Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("twin: thermal: %w", err)
 	}
-	b.nodes = net.Nodes()
-	b.links = net.Links()
-	b.nNodes = len(b.nodes)
-	if b.nNodes > maxNodes {
-		return nil, fmt.Errorf("twin: thermal network has %d nodes, max %d", b.nNodes, maxNodes)
+	if b.thermal, err = net.PhoneKernel(cfg.DT); err != nil {
+		return nil, fmt.Errorf("twin: %w", err)
 	}
-	b.thSteps, b.thH = thermal.Substeps(cfg.DT)
+	for nd := range b.initC {
+		b.initC[nd] = net.Temperature(nd)
+	}
 
 	if cfg.TEC != nil {
 		b.hasTEC = true
@@ -286,9 +278,10 @@ func New(cfg Config) (*Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("twin: %w", err)
 	}
+	b.cells.SetDT(cfg.DT)
 
 	n := cfg.Twins
-	b.temps = make([]float64, n*b.nNodes)
+	b.temps = make([][thermal.PhoneNodes]float64, n)
 	b.maxCPU = make([]float64, n)
 	b.maxBody = make([]float64, n)
 	b.tecOn = make([]bool, n)
@@ -328,11 +321,9 @@ func New(cfg Config) (*Batch, error) {
 func (b *Batch) Reset() {
 	b.cells.Reset()
 	for i := 0; i < b.cfg.Twins; i++ {
-		for nd := 0; nd < b.nNodes; nd++ {
-			b.temps[i*b.nNodes+nd] = b.nodes[nd].InitialC
-		}
-		b.maxCPU[i] = b.nodes[thermal.NodeCPU].InitialC
-		b.maxBody[i] = b.nodes[thermal.NodeBody].InitialC
+		b.temps[i] = b.initC
+		b.maxCPU[i] = b.initC[thermal.NodeCPU]
+		b.maxBody[i] = b.initC[thermal.NodeBody]
 		b.tecOn[i] = false
 		b.tecEnergyJ[i] = 0
 		b.deliveredJ[i] = 0
@@ -346,9 +337,9 @@ func (b *Batch) Reset() {
 		b.end[i] = endAlive
 		if b.inv != nil {
 			b.inv.Prime(i, b.cells.Avail[i]+b.cells.Bound[i],
-				b.nodes[thermal.NodeCPU].InitialC,
-				b.nodes[thermal.NodeBattery].InitialC,
-				b.nodes[thermal.NodeBody].InitialC)
+				b.initC[thermal.NodeCPU],
+				b.initC[thermal.NodeBattery],
+				b.initC[thermal.NodeBody])
 		}
 	}
 	b.cursor = 0
@@ -367,8 +358,8 @@ func (b *Batch) Alive() int { return b.alive }
 
 // stepRange advances twins [lo, hi) through trace step k and returns how
 // many of them ended. It touches only lanes in [lo, hi), so disjoint ranges
-// may run concurrently. The hot path allocates nothing: the flux buffer is
-// a fixed-size stack array and all state lives in preallocated lanes.
+// may run concurrently. The hot path allocates nothing: all state lives in
+// preallocated lanes.
 func (b *Batch) stepRange(k, lo, hi int) int {
 	dt := b.cfg.DT
 	totalW := b.totalW[k]
@@ -376,12 +367,11 @@ func (b *Batch) stepRange(k, lo, hi int) int {
 	bodyHeatW := b.bodyHeatW[k]
 	now := b.nows[k]
 	died := 0
-	var flux [maxNodes]float64
 	for i := lo; i < hi; i++ {
 		if b.end[i] != endAlive {
 			continue
 		}
-		temps := b.temps[i*b.nNodes : (i+1)*b.nNodes]
+		temps := &b.temps[i]
 
 		// Process noise, in a fixed draw order (load, then ambient) so
 		// the stream is reproducible. With both channels off this block
@@ -406,7 +396,7 @@ func (b *Batch) stepRange(k, lo, hi int) int {
 
 		var tecOut tec.Output
 		if b.hasTEC {
-			b.tecOn[i], tecOut = tec.Advance(b.tecDev, b.tecOn[i],
+			b.tecOn[i], tecOut = tec.Advance(&b.tecDev, b.tecOn[i],
 				b.cfg.TECThresholdC, b.cfg.TECHysteresisC, cpuTemp, spreaderTemp, tec.Condition{})
 			b.tecEnergyJ[i] += tecOut.PowerW * dt
 		}
@@ -427,39 +417,15 @@ func (b *Batch) stepRange(k, lo, hi int) int {
 			continue
 		}
 
-		// Thermal integration, replicating thermal.Network.Step over
-		// the lane: same substep split, same link order, same
-		// divide-by-capacity rounding.
-		inCPU := cpuHeatW - tecOut.CPUCoolingW
-		inBatt := res.HeatW
-		inSpread := tecOut.RejectedHeatW
-		for s := 0; s < b.thSteps; s++ {
-			flux[thermal.NodeCPU] = inCPU
-			flux[thermal.NodeBattery] = inBatt
-			flux[thermal.NodeBody] = bodyHeatW
-			flux[thermal.NodeSpreader] = inSpread
-			for nd := thermal.NodeSpreader + 1; nd < b.nNodes; nd++ {
-				flux[nd] = 0
-			}
-			for _, l := range b.links {
-				q := (temps[l.A] - temps[l.B]) / l.RKW
-				flux[l.A] -= q
-				flux[l.B] += q
-			}
-			for nd := 0; nd < b.nNodes; nd++ {
-				capJK := b.nodes[nd].CapacityJK
-				if capJK <= 0 {
-					continue // boundary node
-				}
-				temps[nd] += flux[nd] * b.thH / capJK
-			}
-			if temps[thermal.NodeCPU] > b.maxCPU[i] {
-				b.maxCPU[i] = temps[thermal.NodeCPU]
-			}
-			if temps[thermal.NodeBody] > b.maxBody[i] {
-				b.maxBody[i] = temps[thermal.NodeBody]
-			}
-		}
+		// Thermal integration: the same inputs sim.Run hands
+		// Network.Step, through the phone kernel that matches it bit
+		// for bit.
+		b.maxCPU[i], b.maxBody[i] = b.thermal.Step(temps, thermal.PhoneInputs{
+			CPU:      cpuHeatW - tecOut.CPUCoolingW,
+			Battery:  res.HeatW,
+			Body:     bodyHeatW,
+			Spreader: tecOut.RejectedHeatW,
+		}, b.maxCPU[i], b.maxBody[i])
 
 		b.deliveredJ[i] += demandW * dt
 		b.wastedJ[i] += res.HeatW * dt

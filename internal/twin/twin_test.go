@@ -12,6 +12,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tec"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -351,5 +352,44 @@ func TestBatchInvariantViolationsDeterministic(t *testing.T) {
 		if sum := run(workers); !reflect.DeepEqual(sum, base) {
 			t.Errorf("workers=%d summary differs:\n got %+v\nwant %+v", workers, sum, base)
 		}
+	}
+}
+
+// TestSincosMatchesSinCos: gauss draws its Box–Muller pair with one
+// math.Sincos call; that is only a valid fast path because Sincos returns
+// the very bits separate Sin and Cos calls would, which this checks on a
+// few million angles drawn exactly as gauss draws them.
+func TestSincosMatchesSinCos(t *testing.T) {
+	n := 4_000_000
+	if testing.Short() {
+		n = 200_000
+	}
+	s := twinSeed(99, 0)
+	for k := 0; k < n; k++ {
+		theta := 2 * math.Pi * u01(splitmix64(&s))
+		sin, cos := math.Sincos(theta)
+		if math.Float64bits(sin) != math.Float64bits(math.Sin(theta)) ||
+			math.Float64bits(cos) != math.Float64bits(math.Cos(theta)) {
+			t.Fatalf("angle %v: Sincos (%v, %v), Sin/Cos (%v, %v)",
+				theta, sin, cos, math.Sin(theta), math.Cos(theta))
+		}
+	}
+}
+
+// TestNewRefusesNonPhoneThermal: the twin integrates heat with the phone
+// kernel, so a thermal config that changes the network's topology (here a
+// zero-capacity CPU node, which Network.Step would treat as a boundary)
+// must be refused at construction rather than integrated differently from
+// sim.Run.
+func TestNewRefusesNonPhoneThermal(t *testing.T) {
+	cfg := testConfig(4, 320)
+	cfg.Thermal = thermal.DefaultPhoneConfig()
+	cfg.Thermal.CPUCapacityJK = 0
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted a thermal network the phone kernel does not match")
+	}
+	cfg.Thermal = thermal.DefaultPhoneConfig()
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("default phone network refused: %v", err)
 	}
 }

@@ -4,8 +4,10 @@
 # allocs/op, parallel speedup, EMD allocation ratio, and the metrics
 # hot-path allocation guard: the disabled registry and cached-handle
 # paths must stay at 0 allocs/op or benchjson fails the run), then the
-# twin batch engine benchmark into BENCH_twin.json (twins/op, derived
-# single-core twin-step throughput, and the zero-allocs/step guard), then
+# twin batch engine benchmarks into BENCH_twin.json (the lockstep step's
+# twins/op, derived single-core twin-step throughput and zero-allocs/step
+# guard, plus a whole served-size 512-twin TTE cohort's ns/op and
+# twin-steps/s), then
 # the telemetry store scrape benchmark plus the unsampled request-trace
 # path into BENCH_obs.json (ns per full registry sample and two
 # zero-alloc hard gates: benchjson fails the run if BenchmarkStoreSample
@@ -42,7 +44,7 @@ go run ./scripts/benchjson < "$raw" > "$OUT"
 echo "bench.sh: wrote $OUT"
 
 : > "$raw"
-go test -run '^$' -bench 'BenchmarkBatchedStep' \
+go test -run '^$' -bench 'BenchmarkBatchedStep|BenchmarkTTECohort' \
     -benchmem -benchtime "$BENCHTIME" ./internal/twin | tee "$raw"
 go run ./scripts/benchjson < "$raw" > "$OUT_TWIN"
 echo "bench.sh: wrote $OUT_TWIN"

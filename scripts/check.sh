@@ -40,6 +40,13 @@ echo "== invariant smoke: fault library + seeded violations =="
 go test ./internal/sim -count=1 -run \
     'TestFaultPlanLibraryNoFatalViolations|TestSeededSoCBugTripsCheckerAndGuard|TestTECDropoutBreachesThermalCeiling|TestRunInvariantsBitIdentical'
 
+# Twin bit-exactness: the batched twin engine must reproduce sim.Run bit
+# for bit with noise off, pin its noisy cohorts to a recorded digest, and
+# stay bit-identical across worker counts and with invariants on. Any
+# kernel fast path that moves one ulp fails here.
+echo "== twin bit-exactness =="
+go test -count=1 -run 'NoisyCohortDigest|OracleMatchesSim|DeterministicAcrossWorkers|BatchInvariantsBitIdentical' ./internal/twin
+
 # Fast-fail on the robustness layer (fault injection + capmand) before the
 # full suite: these packages carry the concurrency-heavy code paths.
 echo "== robustness focus: vet + race on fault/server =="
