@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"time"
 
@@ -294,17 +295,30 @@ func (s *Scheduler) Observe(prev sched.Context, applied battery.Selection, next 
 	_ = s.estimator.ObserveEvent(prev.State.Encode(), prev.Event)
 }
 
-// epsilon returns the decayed exploration rate at time now.
+// epsilon returns the decayed exploration rate at time now: ε0 halved
+// once per whole half-life, then scaled linearly by (1 − f/2) over the
+// fraction f of the current one. It equals the plain halving loop bit
+// for bit: math.Ldexp is exact while ε0·2^-k stays a normal float, and
+// past that the subnormal tail is halved one step at a time, as the
+// loop did, because rounding once there can move the half-life at which
+// ε reaches zero — and with it whether Decide draws from its RNG.
 func (s *Scheduler) epsilon(now float64) float64 {
-	if s.cfg.ExploreEpsilon0 == 0 {
+	eps0 := s.cfg.ExploreEpsilon0
+	if eps0 == 0 {
 		return 0
 	}
 	halves := now / s.cfg.ExploreHalfLifeS
-	eps := s.cfg.ExploreEpsilon0
-	for ; halves >= 1; halves-- {
+	k := 0.0
+	if halves >= 1 {
+		k = math.Floor(halves)
+	}
+	_, exp := math.Frexp(eps0) // ε0·2^-n is normal for n <= exp+1021
+	n := math.Min(k, float64(exp+1021))
+	eps := math.Ldexp(eps0, -int(n))
+	for ; n < k && eps != 0; n++ {
 		eps /= 2
 	}
-	return eps * (1 - 0.5*halves)
+	return eps * (1 - 0.5*(halves-k))
 }
 
 // maybeRefresh runs the background recomputation when due.

@@ -193,6 +193,43 @@ func TestSchedulerExplorationDecays(t *testing.T) {
 	}
 }
 
+// loopEpsilon is the original epsilon: one halving per whole half-life,
+// in a loop that runs now/half-life times.
+func loopEpsilon(eps0, halfLife, now float64) float64 {
+	halves := now / halfLife
+	eps := eps0
+	for ; halves >= 1; halves-- {
+		eps /= 2
+	}
+	return eps * (1 - 0.5*halves)
+}
+
+// TestEpsilonMatchesHalvingLoop is the differential test of the
+// closed-form epsilon (math.Floor + math.Ldexp) against the halving loop
+// it replaced, over k = 0…1100 whole half-lives with fractional
+// remainders, through the subnormal range to zero: every result is
+// bit-identical, including the half-life at which ε first reaches zero
+// (k = 1072 for the default ε0 of 0.15), which decides whether Decide
+// draws from its RNG.
+func TestEpsilonMatchesHalvingLoop(t *testing.T) {
+	for _, eps0 := range []float64{0.15, 0.5, 1, 0.3, 1e-3, 0x1p-1000} {
+		for _, halfLife := range []float64{300, 120, 7} {
+			cfg := DefaultConfig()
+			cfg.ExploreEpsilon0, cfg.ExploreHalfLifeS = eps0, halfLife
+			s := &Scheduler{cfg: cfg}
+			for k := 0; k <= 1100; k++ {
+				for _, f := range []float64{0, 0.25, 0.5, 0.75, 0.1, 1.0 / 3, 0.999999} {
+					now := (float64(k) + f) * halfLife
+					if got, want := s.epsilon(now), loopEpsilon(eps0, halfLife, now); got != want {
+						t.Fatalf("epsilon(%v) with eps0 %v, half-life %v = %v, loop gives %v",
+							now, eps0, halfLife, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSchedulerChargeBalanceTieBreak(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ExploreEpsilon0 = 0

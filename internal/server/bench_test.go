@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -75,6 +79,54 @@ func BenchmarkAdmissionPath(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkHTTPHit measures a cache hit end to end through the handler
+// tree: POST /v1/jobs over 32 primed keys, a fifth of them tte jobs, sent
+// to Server.Handler() through httptest. It covers what BenchmarkAdmissionPath
+// leaves out — reading and decoding the body, and encoding the response —
+// plus httptest's own request and recorder.
+func BenchmarkHTTPHit(b *testing.B) {
+	s := New(Config{Executor: ExecutorConfig{Workers: 2}})
+	defer func() {
+		ctx, cancel := contextWithTimeout(5 * time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	}()
+	bodies := make([][]byte, 32)
+	for i := range bodies {
+		spec := JobSpec{Workload: "video", Policy: "dual", Seed: int64(i),
+			BigMAh: 300, LittleMAh: 300, MaxTimeS: 2000}
+		if i%5 == 0 {
+			spec = JobSpec{Kind: "tte", Workload: "video", Seed: int64(i),
+				TTE: &TTEParams{Twins: 8, HorizonS: 300}}
+		}
+		var err error
+		if bodies[i], err = json.Marshal(spec); err != nil {
+			b.Fatal(err)
+		}
+		v, err := s.Executor().Submit(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		awaitBench(b, s.Executor(), v.ID)
+	}
+	h := s.Handler()
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST /v1/jobs = %d, want a 200 cache hit: %s", rec.Code, rec.Body)
+		}
+	}
+	for _, body := range bodies {
+		post(body) // warm the pools
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i&31])
+	}
 }
 
 // BenchmarkShardedCache isolates the cache layer: uncontended get/put,

@@ -40,15 +40,35 @@ type cacheShard struct {
 	order     *list.List // front = most recently used
 	inflight  map[CacheKey]*Job
 	evictions uint64
+	// aliases maps a request body's hash to the key its spec decoded to,
+	// so a repeated body skips decoding (see addAlias). It is keyed and
+	// sharded by the body hash, not by the key it names.
+	aliases map[CacheKey]CacheKey
 }
+
+// aliasesPerSlot bounds each shard's aliases at this many per cache slot:
+// room for a couple of spellings of every cached spec.
+const aliasesPerSlot = 2
 
 // cacheEntry is one cached result. hexHash and spec are frozen at insert
 // time so a cache hit can mint its response View without re-encoding.
+// hitHead and hitTail are that View's HTTP body, encoded once by
+// newCacheEntry and split around the SubmittedAt value, so the handler
+// serves a hit as head + timestamp + tail (writeHit); both are nil for
+// an entry built without newCacheEntry, which writeHit encodes per hit.
 type cacheEntry struct {
-	key     CacheKey
-	hexHash string
-	spec    JobSpec
-	outcome *Outcome
+	key              CacheKey
+	hexHash          string
+	spec             JobSpec
+	outcome          *Outcome
+	hitHead, hitTail []byte
+}
+
+// newCacheEntry builds an entry and pre-encodes its hit response.
+func newCacheEntry(key CacheKey, hexHash string, spec JobSpec, out *Outcome) *cacheEntry {
+	ent := &cacheEntry{key: key, hexHash: hexHash, spec: spec, outcome: out}
+	ent.hitHead, ent.hitTail = encodeHit(ent.hitView(time.Time{}))
+	return ent
 }
 
 // hitView is the response for a request served straight from this entry:
@@ -64,6 +84,16 @@ func (e *cacheEntry) hitView(now time.Time) View {
 		SubmittedAt: now,
 	}
 }
+
+// hit is a submission served from the cache: the entry and the serve
+// time its response is stamped with.
+type hit struct {
+	ent *cacheEntry
+	at  time.Time
+}
+
+// view is the hit's response View.
+func (h hit) view() View { return h.ent.hitView(h.at) }
 
 // NewCache builds a single-shard cache holding at most capacity outcomes
 // — the exact semantics of the original single-lock implementation;
@@ -105,6 +135,7 @@ func NewShardedCache(capacity, shards int) *Cache {
 			entries:  make(map[CacheKey]*list.Element),
 			order:    list.New(),
 			inflight: make(map[CacheKey]*Job),
+			aliases:  make(map[CacheKey]CacheKey),
 		}
 	}
 	return c
@@ -198,9 +229,36 @@ func (c *Cache) put(ent *cacheEntry) {
 	s.mu.Unlock()
 }
 
+// alias returns the cache key a body hash was recorded against. The key's
+// entry may have been evicted since; callers look it up as usual.
+func (c *Cache) alias(body CacheKey) (CacheKey, bool) {
+	s := c.shard(body)
+	s.mu.Lock()
+	key, ok := s.aliases[body]
+	s.mu.Unlock()
+	return key, ok
+}
+
+// addAlias records that a body hash decodes to key. A full shard first
+// drops one alias at random (Go randomizes map iteration order), so the
+// table stays within aliasesPerSlot × capacity however many distinct
+// bodies arrive.
+func (c *Cache) addAlias(body, key CacheKey) {
+	s := c.shard(body)
+	s.mu.Lock()
+	if _, ok := s.aliases[body]; !ok && len(s.aliases) >= aliasesPerSlot*s.capacity {
+		for old := range s.aliases {
+			delete(s.aliases, old)
+			break
+		}
+	}
+	s.aliases[body] = key
+	s.mu.Unlock()
+}
+
 // putOutcome caches a finished job's result under its content address.
 func (c *Cache) putOutcome(job *Job, out *Outcome) {
-	c.put(&cacheEntry{key: job.key, hexHash: job.Hash, spec: job.Spec, outcome: out})
+	c.put(newCacheEntry(job.key, job.Hash, job.Spec, out))
 }
 
 // Get returns the cached outcome for a string content hash, refreshing
@@ -217,7 +275,7 @@ func (c *Cache) Get(hash string) (*Outcome, bool) {
 // Put stores an outcome under a string content hash, evicting the least
 // recently used entry when full.
 func (c *Cache) Put(hash string, out *Outcome) {
-	c.put(&cacheEntry{key: keyFor(hash), hexHash: hash, outcome: out})
+	c.put(newCacheEntry(keyFor(hash), hash, JobSpec{}, out))
 }
 
 // Len returns the number of cached outcomes across all shards.

@@ -303,39 +303,75 @@ func (e *Executor) Submit(spec JobSpec) (View, error) {
 // submission without a valid inbound trace pays nothing on the cache-hit
 // fast path (minting happens only for jobs, on the slow path).
 func (e *Executor) SubmitWith(spec JobSpec, opts SubmitOpts) (View, error) {
+	h, v, err := e.admit(spec, opts)
+	if h.ent != nil {
+		return h.view(), nil
+	}
+	return v, err
+}
+
+// admit is SubmitWith for callers that can use a cache hit's entry
+// directly — the HTTP handler writes its pre-encoded body. A hit comes
+// back in h and no View is built; anything else returns the job's View
+// or the error.
+func (e *Executor) admit(spec JobSpec, opts SubmitOpts) (hit, View, error) {
 	if e.draining.Load() {
-		return View{}, ErrDraining
+		return hit{}, View{}, ErrDraining
 	}
 	key, ok := specKey(spec)
 	if !ok {
 		// Non-finite floats: surface the oracle's canonicalization error.
 		if _, err := spec.Canonical(); err != nil {
-			return View{}, err
+			return hit{}, View{}, err
 		}
-		return View{}, fmt.Errorf("%w: spec not canonicalizable", ErrBadSpec)
+		return hit{}, View{}, fmt.Errorf("%w: spec not canonicalizable", ErrBadSpec)
 	}
-	if ent, hit := e.cache.lookup(key); hit {
-		e.metrics.JobsSubmitted.Inc()
-		e.metrics.CacheHits.Inc()
-		now := time.Now()
-		if opts.Trace.Valid && e.traces != nil {
-			// The client asked to be traced; record the hit as a one-span
-			// trace. Untraced hits skip this branch entirely.
-			e.recordHitTrace(spec, opts, now)
-		}
-		return ent.hitView(now), nil
+	if ent, ok := e.cache.lookup(key); ok {
+		return e.serveHit(ent, opts), View{}, nil
 	}
 	return e.submitSlow(spec, key, opts)
+}
+
+// hitByAlias serves a submission whose body hash was recorded by
+// addAlias, skipping decode and canonicalization: false unless the
+// alias is known and its entry is still cached. A draining executor
+// answers false too, so the full path returns ErrDraining.
+func (e *Executor) hitByAlias(body CacheKey, opts SubmitOpts) (hit, bool) {
+	if e.draining.Load() {
+		return hit{}, false
+	}
+	key, ok := e.cache.alias(body)
+	if !ok {
+		return hit{}, false
+	}
+	ent, ok := e.cache.lookup(key)
+	if !ok {
+		return hit{}, false
+	}
+	return e.serveHit(ent, opts), true
+}
+
+// serveHit counts a submission served from a cache entry and, when the
+// client asked to be traced, records it as a one-span trace. Untraced
+// hits skip the trace branch entirely.
+func (e *Executor) serveHit(ent *cacheEntry, opts SubmitOpts) hit {
+	e.metrics.JobsSubmitted.Inc()
+	e.metrics.CacheHits.Inc()
+	h := hit{ent: ent, at: time.Now()}
+	if opts.Trace.Valid && e.traces != nil {
+		e.recordHitTrace(ent.spec, opts, h.at)
+	}
+	return h
 }
 
 // submitSlow is the cache-miss continuation of Submit: resolve through
 // the registry, then under the executor lock re-check the cache (a
 // concurrent worker may have just published), coalesce onto an in-flight
 // job, pass the admission gates, and enqueue.
-func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View, error) {
+func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (hit, View, error) {
 	cfg, err := e.resolve(spec)
 	if err != nil {
-		return View{}, err
+		return hit{}, View{}, err
 	}
 	spec = spec.withDefaults()
 	hash := hex.EncodeToString(key[:])
@@ -348,33 +384,33 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.draining.Load() {
-		return View{}, ErrDraining
+		return hit{}, View{}, ErrDraining
 	}
 	e.metrics.JobsSubmitted.Inc()
 
 	if ent, ok := e.cache.lookup(key); ok { // published since the fast path
 		e.metrics.CacheHits.Inc()
 		log.Info("job served from cache", "hash", short(hash))
-		return ent.hitView(time.Now()), nil
+		return hit{ent: ent, at: time.Now()}, View{}, nil
 	}
 	if job, ok := e.cache.flight(key); ok {
 		e.metrics.CacheHits.Inc()
 		e.transition(job, EventCoalesced, "request "+reqID+" coalesced onto this job")
 		log.Info("submission coalesced onto in-flight job",
 			"job_id", job.ID, "job_request_id", job.RequestID, "hash", short(hash))
-		return job.view(), nil
+		return hit{}, job.view(), nil
 	}
 	if sh := e.shed(); sh != nil {
 		e.metrics.Shed.WithLabelValues(sh.Reason).Inc()
 		e.recordShedTrace(spec, opts, sh.Reason) // 429s are signal: always retained
 		log.Warn("submission shed by admission gate",
 			"reason", sh.Reason, "queue_depth", len(e.queue), "retry_after", sh.RetryAfter.String())
-		return View{}, sh
+		return hit{}, View{}, sh
 	}
 	bkey := breakerKey(spec)
 	if err := e.breakers.Admit(bkey); err != nil {
 		log.Warn("submission shed by open circuit breaker", "entry", bkey)
-		return View{}, err
+		return hit{}, View{}, err
 	}
 	e.metrics.CacheMisses.Inc()
 
@@ -395,7 +431,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	log.Info("job submitted", "job_id", job.ID, "hash", short(hash),
 		"workload", spec.Workload, "policy", spec.Policy,
 		"trace_id", job.traceID(), "queue_depth", len(e.queue))
-	return job.view(), nil
+	return hit{}, job.view(), nil
 }
 
 // shed evaluates the admission gate; nil means admit. Callers hold e.mu.

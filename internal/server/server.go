@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -237,13 +238,49 @@ func (s *Server) handleTTE(w http.ResponseWriter, r *http.Request) {
 	s.submit(w, r, "tte")
 }
 
-// submit decodes a JobSpec body (unknown fields are a 400), pins the kind
-// the route implies, if any, and hands the spec to the executor: 202 for a
-// queued or coalesced job, 200 for a cache hit, the mapped error status
-// otherwise.
+// maxSubmitBody caps a submission body; a larger one is a 413.
+const maxSubmitBody = 1 << 20
+
+// bodyPool holds submit-body buffers: the route's kind, a zero byte, then
+// the body, so one hash of the buffer names the (route, body) pair.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// submit reads a JobSpec body (over maxSubmitBody is a 413), decodes it
+// (unknown fields are a 400), pins the kind the route implies, if any,
+// and hands the spec to the executor: 202 for a queued or coalesced job,
+// 200 for a cache hit, the mapped error status otherwise. A (route,
+// body) pair that already decoded to a cache hit is an alias of its key:
+// while the entry stays cached, the pair is served without decoding.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledResponse {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	buf.WriteString(kind)
+	buf.WriteByte(0)
+	start := buf.Len()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBody)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("job spec body exceeds %d bytes", tooBig.Limit))
+			return
+		}
+		writeError(w, http.StatusBadRequest, fmt.Errorf("read job spec: %w", err))
+		return
+	}
+	alias := CacheKey(sha256.Sum256(buf.Bytes()))
+	opts := submitOptsFrom(r)
+	if h, ok := s.exec.hitByAlias(alias, opts); ok {
+		writeHit(w, h)
+		return
+	}
+
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()[start:]))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
@@ -257,16 +294,16 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
 		}
 		spec.Kind = kind
 	}
-	view, err := s.exec.SubmitWith(spec, submitOptsFrom(r))
-	if err != nil {
+	h, view, err := s.exec.admit(spec, opts)
+	switch {
+	case err != nil:
 		writeSubmitError(w, err)
-		return
+	case h.ent != nil:
+		s.exec.cache.addAlias(alias, h.ent.key)
+		writeHit(w, h)
+	default:
+		writeJSON(w, http.StatusAccepted, view)
 	}
-	status := http.StatusAccepted
-	if view.State.Terminal() {
-		status = http.StatusOK // served from cache
-	}
-	writeJSON(w, status, view)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -405,22 +442,83 @@ var respPool = sync.Pool{
 // outcome body shouldn't pin its buffer forever.
 const maxPooledResponse = 1 << 20
 
+// release returns the buffer to the pool unless it grew past
+// maxPooledResponse.
+func (b *respBuf) release() {
+	if b.buf.Cap() <= maxPooledResponse {
+		respPool.Put(b)
+	}
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	b := respPool.Get().(*respBuf)
 	b.buf.Reset()
 	if err := b.enc.Encode(v); err != nil {
-		respPool.Put(b)
+		b.release()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		fmt.Fprintf(w, `{"error":%q}`+"\n", "encode response: "+err.Error())
 		return
 	}
+	writeBuf(w, status, b)
+}
+
+// writeBuf sends an encoded response body and returns its buffer to the
+// pool.
+func writeBuf(w http.ResponseWriter, status int, b *respBuf) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(b.buf.Bytes())
-	if b.buf.Cap() <= maxPooledResponse {
-		respPool.Put(b)
+	b.release()
+}
+
+// A pre-encoded hit body is cut at its SubmittedAt field, encoded from a
+// view stamped with the zero time.
+const (
+	hitStampField = `"submittedAt":`
+	hitStampZero  = `"0001-01-01T00:00:00Z"`
+)
+
+// encodeHit encodes a cache-hit view stamped with the zero time, using
+// writeJSON's encoder, and cuts the body around the SubmittedAt value:
+// head ends just after `"submittedAt":`, tail is what follows the
+// timestamp. nil, nil when the view does not encode, which leaves the
+// hit to writeJSON and its error response.
+func encodeHit(v View) (head, tail []byte) {
+	b := respPool.Get().(*respBuf)
+	b.buf.Reset()
+	err := b.enc.Encode(v)
+	body := bytes.Clone(b.buf.Bytes())
+	b.release()
+	if err != nil {
+		return nil, nil
 	}
+	// SubmittedAt follows Spec and Outcome, so its field is the last one
+	// by that name in the body.
+	cut := bytes.LastIndex(body, []byte(hitStampField+hitStampZero))
+	if cut < 0 {
+		return nil, nil
+	}
+	cut += len(hitStampField)
+	return body[:cut:cut], body[cut+len(hitStampZero):]
+}
+
+// writeHit serves a cache hit from its entry's pre-encoded body with the
+// serve time spliced in: the same bytes as writeJSON(w, 200, h.view()),
+// for the cost of one buffer copy.
+func writeHit(w http.ResponseWriter, h hit) {
+	if h.ent.hitHead == nil {
+		writeJSON(w, http.StatusOK, h.view())
+		return
+	}
+	b := respPool.Get().(*respBuf)
+	b.buf.Reset()
+	b.buf.Write(h.ent.hitHead)
+	b.buf.WriteByte('"')
+	b.buf.Write(h.at.AppendFormat(b.buf.AvailableBuffer(), time.RFC3339Nano))
+	b.buf.WriteByte('"')
+	b.buf.Write(h.ent.hitTail)
+	writeBuf(w, http.StatusOK, b)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

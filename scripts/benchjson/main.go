@@ -11,6 +11,15 @@
 // embedded verbatim under "loadgen" — bench.sh uses this to fold the
 // live-daemon load test into BENCH_serve.json next to the micro
 // benchmarks.
+//
+// With -compare <committed BENCH_*.json>, no document is written: the
+// benchmarks on stdin are compared with the same-named results in the
+// committed file, one line each with the ns/op delta (reported, never
+// gated, since timings do not carry across hosts or runs) and allocs/op
+// on both sides. Any allocs/op increase fails the run:
+//
+//	go test -run '^$' -bench 'BenchmarkAdmissionPath|BenchmarkHTTPHit' \
+//	    -benchmem ./internal/server | go run ./scripts/benchjson -compare BENCH_serve.json
 package main
 
 import (
@@ -24,6 +33,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // result is one parsed benchmark line.
@@ -105,8 +115,15 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	loadgen := flag.String("loadgen", "", "path to a capman-loadgen JSON report to embed under \"loadgen\"")
+	compare := flag.String("compare", "", "path to a committed BENCH_*.json: report ns/op deltas against it and fail on any allocs/op increase")
 	flag.Parse()
-	if err := run(os.Stdin, os.Stdout, *loadgen); err != nil {
+	var err error
+	if *compare != "" {
+		err = runCompare(os.Stdin, os.Stdout, *compare)
+	} else {
+		err = run(os.Stdin, os.Stdout, *loadgen)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -120,45 +137,9 @@ func run(in io.Reader, w io.Writer, loadgenPath string) error {
 	if out.CPUs < 4 {
 		out.CPUNote = fmt.Sprintf("only %d CPU(s) available: parallel speedup is bounded by the core count, not the engine", out.CPUs)
 	}
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		r := result{Name: m[1], Metrics: map[string]float64{}}
-		var err error
-		if r.Iterations, err = strconv.ParseInt(m[2], 10, 64); err != nil {
-			return fmt.Errorf("line %q: %w", sc.Text(), err)
-		}
-		fields := strings.Fields(m[3])
-		for i := 0; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return fmt.Errorf("line %q: field %q: %w", sc.Text(), fields[i], err)
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				r.NsPerOp = v
-			case "B/op":
-				r.BytesPerOp = v
-			case "allocs/op":
-				r.AllocsOp = v
-			default:
-				r.Metrics[fields[i+1]] = v
-			}
-		}
-		if len(r.Metrics) == 0 {
-			r.Metrics = nil
-		}
-		out.Results = append(out.Results, r)
-	}
-	if err := sc.Err(); err != nil {
+	var err error
+	if out.Results, err = parseBench(in); err != nil {
 		return err
-	}
-	if len(out.Results) == 0 {
-		return fmt.Errorf("no benchmark lines on stdin")
 	}
 	out.Derived = deriveMetrics(out.Results)
 	// The metrics hot paths are allocation-free by contract (also enforced
@@ -216,6 +197,104 @@ func run(in io.Reader, w io.Writer, loadgenPath string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// parseBench reads the benchmark result lines of `go test -bench`
+// output; at least one is required.
+func parseBench(in io.Reader) ([]result, error) {
+	var results []result
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		r := result{Name: m[1], Metrics: map[string]float64{}}
+		var err error
+		if r.Iterations, err = strconv.ParseInt(m[2], 10, 64); err != nil {
+			return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
+		}
+		fields := strings.Fields(m[3])
+		for i := 0; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("line %q: field %q: %w", sc.Text(), fields[i], err)
+			}
+			switch fields[i+1] {
+			case "ns/op":
+				r.NsPerOp = v
+			case "B/op":
+				r.BytesPerOp = v
+			case "allocs/op":
+				r.AllocsOp = v
+			default:
+				r.Metrics[fields[i+1]] = v
+			}
+		}
+		if len(r.Metrics) == 0 {
+			r.Metrics = nil
+		}
+		results = append(results, r)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(results) == 0 {
+		return nil, fmt.Errorf("no benchmark lines on stdin")
+	}
+	return results, nil
+}
+
+// runCompare reports the benchmarks read from in against the same-named
+// results of the committed trajectory at basePath: ns/op old, new and
+// delta, allocs/op old and new. Benchmarks the committed file lacks are
+// listed as new. It fails when any benchmark allocates more per op than
+// its committed result, unless either side ran a single iteration (a
+// -benchtime 1x smoke line, whose allocs/op the testing framework's own
+// bookkeeping pollutes).
+func runCompare(in io.Reader, w io.Writer, basePath string) error {
+	results, err := parseBench(in)
+	if err != nil {
+		return err
+	}
+	raw, err := os.ReadFile(basePath)
+	if err != nil {
+		return err
+	}
+	var base output
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return fmt.Errorf("%s: %w", basePath, err)
+	}
+	old := map[string]result{}
+	for _, r := range base.Results {
+		old[r.Name] = r
+	}
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(tw, "benchmark\told ns/op\tnew ns/op\tdelta\told allocs/op\tnew allocs/op\t")
+	var regressed []string
+	for _, r := range results {
+		o, ok := old[r.Name]
+		if !ok {
+			fmt.Fprintf(tw, "%s\t-\t%.4g\tnew\t-\t%g\t\n", r.Name, r.NsPerOp, r.AllocsOp)
+			continue
+		}
+		delta := "-"
+		if o.NsPerOp > 0 {
+			delta = fmt.Sprintf("%+.1f%%", (r.NsPerOp/o.NsPerOp-1)*100)
+		}
+		fmt.Fprintf(tw, "%s\t%.4g\t%.4g\t%s\t%g\t%g\t\n", r.Name, o.NsPerOp, r.NsPerOp, delta, o.AllocsOp, r.AllocsOp)
+		if r.AllocsOp > o.AllocsOp && r.Iterations > 1 && o.Iterations > 1 {
+			regressed = append(regressed, fmt.Sprintf("%s %g -> %g allocs/op", r.Name, o.AllocsOp, r.AllocsOp))
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	if len(regressed) > 0 {
+		return fmt.Errorf("allocs/op increased against %s: %s", basePath, strings.Join(regressed, "; "))
+	}
+	return nil
 }
 
 func deriveMetrics(results []result) derived {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,5 +149,79 @@ func TestLoadgenEmbeddedVerbatim(t *testing.T) {
 	}
 	if _, _, err := convert(t, cannedBench, filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing loadgen report accepted")
+	}
+}
+
+// compareRun writes committed bench output as a trajectory document, then
+// runs -compare against it with bench on stdin. rows maps each reported
+// benchmark to its fields: name, old ns/op, new ns/op, delta, old and new
+// allocs/op.
+func compareRun(t *testing.T, committed, bench string) (map[string][]string, error) {
+	t.Helper()
+	_, raw, err := convert(t, committed, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_committed.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err = runCompare(strings.NewReader(bench), &buf, path)
+	rows := map[string][]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(f[0], "Benchmark") {
+			rows[f[0]] = f
+		}
+	}
+	return rows, err
+}
+
+func TestCompareAgainstCommitted(t *testing.T) {
+	// A matching file: every benchmark reported, no change, no failure.
+	rows, err := compareRun(t, cannedBench, cannedBench)
+	if err != nil {
+		t.Fatalf("identical runs failed the comparison: %v", err)
+	}
+	if len(rows) != 7 {
+		t.Errorf("reported %d benchmarks, want 7: %v", len(rows), rows)
+	}
+	if got := rows["BenchmarkEMD"]; len(got) != 6 || got[3] != "+0.0%" {
+		t.Errorf("BenchmarkEMD row = %q, want a +0.0%% delta", got)
+	}
+
+	// An ns/op change is reported, never gated: twice as slow still passes.
+	slower := strings.Replace(cannedBench, "123456 ns/op", "246912 ns/op", 1)
+	rows, err = compareRun(t, cannedBench, slower)
+	if err != nil {
+		t.Fatalf("an ns/op change failed the comparison: %v", err)
+	}
+	if got := rows["BenchmarkEMD"]; len(got) != 6 || got[3] != "+100.0%" {
+		t.Errorf("BenchmarkEMD row = %q, want a +100.0%% delta", got)
+	}
+
+	// Any allocs/op increase fails and names the benchmark; a decrease passes.
+	more := strings.Replace(cannedBench, "42 allocs/op", "43 allocs/op", 1)
+	if _, err := compareRun(t, cannedBench, more); err == nil || !strings.Contains(err.Error(), "BenchmarkEMD 42 -> 43") {
+		t.Errorf("allocs regression: err = %v, want a failure naming BenchmarkEMD 42 -> 43", err)
+	}
+	if _, err := compareRun(t, more, cannedBench); err != nil {
+		t.Errorf("allocs decrease failed the comparison: %v", err)
+	}
+
+	// A benchmark the committed file lacks is listed as new; a
+	// single-iteration smoke line is exempt from the allocs gate.
+	extra := "BenchmarkHTTPHit-2 \t 1000 \t 9000 ns/op \t 7000 B/op \t 23 allocs/op\n" +
+		"BenchmarkEMDSolver-2 \t 1 \t 60000 ns/op \t 64 B/op \t 3 allocs/op\n"
+	rows, err = compareRun(t, cannedBench, extra)
+	if err != nil {
+		t.Errorf("new benchmark or smoke line failed the comparison: %v", err)
+	}
+	if got := rows["BenchmarkHTTPHit"]; len(got) < 4 || got[3] != "new" {
+		t.Errorf("BenchmarkHTTPHit row = %q, want it listed as new", got)
+	}
+
+	if err := runCompare(strings.NewReader(cannedBench), io.Discard, filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Error("missing committed file accepted")
 	}
 }
