@@ -364,11 +364,12 @@ func writeFlight(path string, box obs.FlightBox) error {
 	return box.WriteJSON(f)
 }
 
-// reportTiming prints the per-phase step-cost breakdown and the policy
-// decision-latency distribution collected by the sim's instrumentation.
+// reportTiming prints the per-phase step-cost breakdown, estimated from
+// a sample of steps, and the policy decision-latency distribution, which
+// covers every step.
 func reportTiming(tm *sim.Timing) {
-	fmt.Printf("step cost: workload %.3fs, policy %.3fs, battery %.3fs, thermal %.3fs, tec %.3fs\n",
-		tm.WorkloadS, tm.PolicyS, tm.BatteryS, tm.ThermalS, tm.TECS)
+	fmt.Printf("step cost (estimated from %d sampled steps): workload %.3fs, policy %.3fs, battery %.3fs, thermal %.3fs, tec %.3fs\n",
+		tm.PhaseSampledSteps, tm.WorkloadS, tm.PolicyS, tm.BatteryS, tm.ThermalS, tm.TECS)
 	d := tm.DecisionLatency
 	fmt.Printf("decision latency: n=%d mean %.1fus p50 %.1fus p95 %.1fus p99 %.1fus\n",
 		d.Count, d.Mean()*1e6, d.Quantile(0.50)*1e6, d.Quantile(0.95)*1e6, d.Quantile(0.99)*1e6)

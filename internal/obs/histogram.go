@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -81,6 +82,33 @@ func (h *Histogram) Observe(v float64) {
 		next := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sumBits.CompareAndSwap(old, next) {
 			return
+		}
+	}
+}
+
+// Merge adds every observation src holds into h, bucket by bucket. Both
+// must have the same bounds; otherwise Merge changes nothing and reports
+// an error. It is safe against concurrent Observe calls on either side;
+// like an in-flight Observe, a concurrent reader may see the buckets
+// before the sum. A nil h or src merges nothing.
+func (h *Histogram) Merge(src *Histogram) error {
+	if h == nil || src == nil {
+		return nil
+	}
+	if !slices.Equal(h.bounds, src.bounds) {
+		return fmt.Errorf("obs: merging histograms with different bounds %v and %v", h.bounds, src.bounds)
+	}
+	for i := range src.counts {
+		if c := src.counts[i].Load(); c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	add := src.Sum()
+	for {
+		old := h.sumBits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + add)
+		if h.sumBits.CompareAndSwap(old, next) {
+			return nil
 		}
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -126,6 +127,42 @@ func TestHistogramNilSafety(t *testing.T) {
 	s := h.Snapshot()
 	if s.Count != 0 || len(s.Bounds) != 0 {
 		t.Errorf("nil snapshot = %+v", s)
+	}
+}
+
+// TestHistogramMerge: merging is the same as observing src's samples into
+// the destination directly, and a bounds mismatch changes nothing.
+func TestHistogramMerge(t *testing.T) {
+	samples := []float64{3e-7, 2e-6, 2e-6, 4e-5, 7e-3, 1} // 1 s lands in +Inf
+	direct := MustHistogram(LatencyBuckets()...)
+	dst := MustHistogram(LatencyBuckets()...)
+	src := MustHistogram(LatencyBuckets()...)
+	direct.Observe(5e-6)
+	dst.Observe(5e-6)
+	for _, v := range samples {
+		direct.Observe(v)
+		src.Observe(v)
+	}
+	if err := dst.Merge(src); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dst.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("merged = %+v, want %+v", got, want)
+	}
+	if src.Count() != uint64(len(samples)) {
+		t.Errorf("merge changed its source: count %d", src.Count())
+	}
+
+	before := dst.Snapshot()
+	if err := dst.Merge(MustHistogram(1, 2)); err == nil {
+		t.Error("merge across different bounds succeeded")
+	}
+	if got := dst.Snapshot(); !reflect.DeepEqual(got, before) {
+		t.Errorf("failed merge changed the destination: %+v, was %+v", got, before)
+	}
+	var nilH *Histogram
+	if err := nilH.Merge(src); err != nil || dst.Merge(nil) != nil {
+		t.Error("nil merge reported an error")
 	}
 }
 

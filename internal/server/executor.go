@@ -645,7 +645,7 @@ func (e *Executor) worker() {
 		}
 		e.mu.Unlock()
 
-		// Per-job observability. The metrics sink streams decision latency,
+		// Per-job observability. The metrics sink feeds decision latency,
 		// phase timings, and degradations into the shared panel without
 		// perturbing the Result. The job's span recorder, rooted at
 		// admission, collects the attempt and engine spans and their
@@ -794,11 +794,11 @@ func (e *Executor) finish(job *Job, state State, out *Outcome, err error, detail
 		"attempts", job.Attempts, "detail", detail)
 }
 
-// sink builds the MetricsSink that streams a running job's instrumentation
-// into the shared panel: per-decision host latency, per-phase wall clock,
-// live zone temperatures, and guard degradation entries by mode. Degrade
-// and invariant events are additionally mirrored onto the live event
-// stream when one is attached.
+// sink builds the MetricsSink that feeds a running job's instrumentation
+// into the shared panel: per-decision host latency and per-phase wall
+// clock at run end, live zone temperatures, and guard degradation entries
+// by mode. Degrade and invariant events are additionally mirrored onto
+// the live event stream when one is attached.
 func (e *Executor) sink() *sim.MetricsSink {
 	// Resolve the per-zone gauges once, outside the per-step callback.
 	cpu := e.metrics.ZoneTemp.WithLabelValues("cpu")

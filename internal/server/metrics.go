@@ -51,9 +51,9 @@ type Metrics struct {
 	// own SLO without the sim jobs diluting the distribution.
 	TTELatency *metrics.Histogram
 
-	// Simulation-streamed panel: running jobs feed these live through a
+	// Simulation-streamed panel: running jobs feed these through a
 	// sim.MetricsSink, rather than the server scraping finished Results.
-	DecisionLatency *metrics.Histogram       // per-step Policy.Decide host latency
+	DecisionLatency *metrics.Histogram       // per-step Policy.Decide host latency, merged at run end
 	EMDLatency      *metrics.Histogram       // structural-similarity EMD computations
 	PhaseSeconds    *metrics.CounterFloatVec // cumulative step-phase wall clock, by phase
 	Degrades        *metrics.CounterVec      // guard transitions, by reason
@@ -138,13 +138,13 @@ func NewMetrics() *Metrics {
 			obs.WallBuckets()),
 
 		DecisionLatency: reg.Histogram("capman_decision_latency_seconds",
-			"Per-step Policy.Decide host latency streamed live from running simulations.",
+			"Per-step Policy.Decide host latency, merged in from each simulation when it ends.",
 			obs.LatencyBuckets()),
 		EMDLatency: reg.Histogram("capman_emd_latency_seconds",
 			"Host latency of structural-similarity EMD computations inside the CAPMAN policy.",
 			obs.LatencyBuckets()),
 		PhaseSeconds: reg.CounterFloatVec("capman_sim_phase_seconds_total",
-			"Cumulative wall-clock seconds simulations spent per step phase.", "phase"),
+			"Cumulative wall-clock seconds simulations spent per step phase, estimated from a sample of steps.", "phase"),
 		Degrades: reg.CounterVec("capman_degrade_total",
 			"Graceful-degradation transitions streamed live from running simulations, by guard mode.",
 			"reason"),

@@ -2,13 +2,17 @@ package sim
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/battery"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/obs"
+	"repro/internal/obs/metrics"
 	"repro/internal/sched"
 	"repro/internal/tec"
 	"repro/internal/workload"
@@ -119,6 +123,110 @@ func TestRunRecordsTimingAndSpanTree(t *testing.T) {
 	}
 }
 
+// TestPhaseEstimateSampling drives a stepTimer through the run loop's
+// begin/lap sequence on a fake clock that charges fixed per-phase costs,
+// untimed work between phases, and a 24 µs spike inside Decide every 240
+// steps: CAPMAN re-solves its MDP from Decide once a minute, which is
+// every 240 steps at dt 0.25. 240 is a multiple of the stride, so each
+// start offset either times every spike or none of them; both must leave
+// the policy estimate on the true total, because Decide is timed on every
+// step and only the policy phase's non-Decide rest is scaled. The
+// workload phase also carries a synthetic random jitter of up to 200 ns
+// per step, which the 1500 sampled steps must average to within the 2%
+// tolerance (about five standard errors); the other phases cost the same
+// on every step, so their estimates are exact.
+func TestPhaseEstimateSampling(t *testing.T) {
+	cost := [numPhases]time.Duration{
+		phaseWorkload: 300, phasePolicy: 200, phaseBattery: 150, phaseThermal: 100, phaseTEC: 50,
+	}
+	const (
+		steps  = 240 * 100
+		decide = 80 * time.Nanosecond
+		spike  = 24 * time.Microsecond // CAPMAN's refresh, 100 ns per step on average
+		gap    = 40 * time.Nanosecond  // untimed work between phases
+		tol    = 0.02
+	)
+	for offset := 0; offset < phaseSampleEvery; offset++ {
+		var clock time.Duration
+		tm := newStepTimer(nil)
+		tm.now = func() time.Duration { return clock }
+		tm.offset = offset
+		jitter := rand.New(rand.NewSource(int64(offset)))
+
+		var truth [numPhases]time.Duration
+		var decideTruth time.Duration
+		charge := func(p stepPhase, d time.Duration) {
+			t0 := tm.begin()
+			clock += d
+			truth[p] += d
+			tm.lap(p, t0)
+			clock += gap
+		}
+		for k := 0; k < steps; k++ {
+			tm.step()
+			charge(phaseWorkload, cost[phaseWorkload]+time.Duration(jitter.Intn(200)))
+			charge(phaseThermal, cost[phaseThermal])
+			charge(phaseTEC, cost[phaseTEC])
+			charge(phaseBattery, cost[phaseBattery])
+
+			d := decide
+			if k%240 == 0 {
+				d += spike
+			}
+			t0 := tm.begin()
+			clock += cost[phasePolicy]
+			d0 := tm.beginDecision()
+			clock += d
+			tm.lapDecision(d0)
+			tm.lap(phasePolicy, t0)
+			truth[phasePolicy] += cost[phasePolicy] + d
+			decideTruth += d
+			clock += gap
+		}
+
+		tg := tm.timing()
+		if tg.DecisionLatency.Count != steps {
+			t.Errorf("offset %d: decision count = %d, want every one of %d steps", offset, tg.DecisionLatency.Count, steps)
+		}
+		if want := decideTruth.Seconds(); math.Abs(tg.DecisionLatency.Sum-want) > 1e-9*want {
+			t.Errorf("offset %d: decision sum = %v, want exactly %v", offset, tg.DecisionLatency.Sum, want)
+		}
+		if tg.DecisionLatency.Sum > tg.PolicyS {
+			t.Errorf("offset %d: decision sum %v exceeds the policy phase %v", offset, tg.DecisionLatency.Sum, tg.PolicyS)
+		}
+		if tg.PhaseSampledSteps != steps/phaseSampleEvery {
+			t.Errorf("offset %d: sampled %d steps, want %d", offset, tg.PhaseSampledSteps, steps/phaseSampleEvery)
+		}
+		got := [numPhases]float64{tg.WorkloadS, tg.PolicyS, tg.BatteryS, tg.ThermalS, tg.TECS}
+		for p, est := range got {
+			want := truth[p].Seconds()
+			if math.Abs(est-want) > tol*want {
+				t.Errorf("offset %d, phase %s: estimate %.6fs, true %.6fs (off %.2f%%, tolerance %.0f%%)",
+					offset, phaseNames[p], est, want, 100*(est-want)/want, 100*tol)
+			}
+		}
+	}
+}
+
+// TestStepTimerKeepsForeignBounds: a sink histogram whose bounds are not
+// obs.LatencyBuckets still gets every decision, while Timing keeps the
+// latency buckets its doc promises.
+func TestStepTimerKeepsForeignBounds(t *testing.T) {
+	ext := obs.MustHistogram(1e-3, 1)
+	tm := newStepTimer(ext)
+	for k := 0; k < 10; k++ {
+		tm.step()
+		tm.lapDecision(tm.beginDecision())
+	}
+	tm.flush()
+	if got := ext.Count(); got != 10 {
+		t.Errorf("sink histogram holds %d decisions, want 10", got)
+	}
+	if got, want := tm.timing().DecisionLatency.Bounds, obs.LatencyBuckets(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Timing bounds = %v, want obs.LatencyBuckets %v", got, want)
+	}
+}
+
 // TestRunRecorderFromContext checks the ambient path: a recorder attached
 // with obs.WithRecorder is honoured without touching the Config.
 func TestRunRecorderFromContext(t *testing.T) {
@@ -163,6 +271,42 @@ func BenchmarkInstrumentedStepTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg.Recorder = obs.NewRecorder(0)
 		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += res.Steps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+}
+
+// BenchmarkInstrumentedStepServed is the step cost of a capmand sim job:
+// a MetricsSink over registry-backed instruments, built the way
+// Executor.sink builds it, plus a span recorder on the context.
+func BenchmarkInstrumentedStepServed(b *testing.B) {
+	reg := metrics.NewRegistry()
+	lat := reg.Histogram("capman_decision_latency_seconds", "decision latency", obs.LatencyBuckets())
+	phases := reg.CounterFloatVec("capman_sim_phase_seconds_total", "phase seconds", "phase")
+	zone := reg.GaugeFloatVec("capman_zone_temp_celsius", "zone temperatures", "zone")
+	cpu, body := zone.WithLabelValues("cpu"), zone.WithLabelValues("body")
+	batt, spreader := zone.WithLabelValues("battery"), zone.WithLabelValues("spreader")
+	cfg := tracedConfig(b, sched.NewDual())
+	cfg.SampleEveryS = 0
+	cfg.Metrics = &MetricsSink{
+		DecisionLatency: lat.Base(),
+		PhaseSeconds:    func(phase string, s float64) { phases.WithLabelValues(phase).Add(s) },
+		ZoneTemps: func(c, bo, ba, sp float64) {
+			cpu.Set(c)
+			body.Set(bo)
+			batt.Set(ba)
+			spreader.Set(sp)
+		},
+		OnDegrade: func(sched.DegradeEvent) {},
+	}
+	b.ResetTimer()
+	steps := 0
+	for i := 0; i < b.N; i++ {
+		ctx := obs.WithRecorder(context.Background(), obs.NewRecorder(0))
+		res, err := RunContext(ctx, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,19 +65,20 @@ type Config struct {
 	Guard *sched.GuardConfig
 
 	// Recorder, when non-nil, turns tracing on: the run opens a
-	// "sim.run" span, accumulates per-phase step cost, and populates
-	// Result.Timing with the phase breakdown and the per-step policy
-	// decision-latency histogram. The span also carries the run's
-	// breadcrumbs as events: start and end notes, guard degradations, and
-	// the first violation of each invariant. When nil, RunContext also
-	// looks for a recorder on the context (obs.WithRecorder). Tracing never
-	// feeds back into the physics: a traced run's Result is bit-identical
-	// to an untraced one apart from the Timing field.
+	// "sim.run" span, estimates per-phase step cost from a sample of
+	// steps, and populates Result.Timing with the phase breakdown and the
+	// per-step policy decision-latency histogram. The span also carries
+	// the run's breadcrumbs as events: start and end notes, guard
+	// degradations, and the first violation of each invariant. When nil,
+	// RunContext also looks for a recorder on the context
+	// (obs.WithRecorder). Tracing never feeds back into the physics: a
+	// traced run's Result is bit-identical to an untraced one apart from
+	// the Timing field.
 	Recorder *obs.Recorder
 
 	// Metrics, when non-nil, streams instrumentation into external
-	// metrics (decision latencies step by step, per-phase wall seconds at
-	// run end, guard degradation transitions as they happen) without
+	// metrics (decision latencies and per-phase wall seconds at run end,
+	// guard degradation transitions as they happen) without
 	// turning tracing on: Result.Timing stays nil and the Result is
 	// bit-identical to an unobserved run. capmand attaches one per job to
 	// feed its unified registry.
@@ -321,6 +322,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			ext = sink.DecisionLatency
 		}
 		timer = newStepTimer(ext)
+		defer timer.flush()
 	}
 	if rec != nil {
 		_, runSpan = rec.StartSpan(ctx, "sim.run")
@@ -404,6 +406,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: aborted at t=%.1fs: %w", now, err)
 		}
+		timer.step()
 		t0 := timer.begin()
 		step := gen.Next(now, dt)
 		if cfg.RecordDemands {
@@ -414,14 +417,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := phone.Apply(step.Demand); err != nil {
 			return nil, fmt.Errorf("t=%.1f apply demand: %w", now, err)
 		}
-		timer.lapWorkload(t0)
+		timer.lap(phaseWorkload, t0)
 
 		t0 = timer.begin()
 		cpuTemp := net.Temperature(thermal.NodeCPU)
 		bodyTemp := net.Temperature(thermal.NodeBody)
 		battTemp := net.Temperature(thermal.NodeBattery)
 		spreaderTemp := net.Temperature(thermal.NodeSpreader)
-		timer.lapThermal(t0)
+		timer.lap(phaseThermal, t0)
 		if sink != nil && sink.ZoneTemps != nil {
 			sink.ZoneTemps(cpuTemp, bodyTemp, battTemp, spreaderTemp)
 		}
@@ -444,7 +447,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				cond.ForcedOff = true
 			}
 			tecOut = cooler.StepUnder(obsCPUTemp, spreaderTemp, dt, cond)
-			timer.lapTEC(t0)
+			timer.lap(phaseTEC, t0)
 		}
 		t0 = timer.begin()
 		breakdown := phone.Power()
@@ -454,7 +457,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				demandW += spike
 			}
 		}
-		timer.lapWorkload(t0)
+		timer.lap(phaseWorkload, t0)
 
 		t0 = timer.begin()
 		bigState := source.CellState(battery.SelectBig)
@@ -472,7 +475,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				socStaleS = sl
 			}
 		}
-		timer.lapBattery(t0)
+		timer.lap(phaseBattery, t0)
 
 		ctx := sched.Context{
 			Now: now,
@@ -508,13 +511,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			cfg.Policy.Observe(pending.ctx, pending.applied, ctx.State, pending.reward)
 		}
 
-		tDec := timer.begin()
+		tDec := timer.beginDecision()
 		dec := cfg.Policy.Decide(ctx)
 		timer.lapDecision(tDec)
 		if guard != nil {
 			dec = guard.Review(ctx, dec)
 		}
-		timer.lapPolicy(t0)
+		timer.lap(phasePolicy, t0)
 		t0 = timer.begin()
 		wantFlip := dec.Battery != ctx.State.Battery &&
 			(dec.Battery == battery.SelectBig || dec.Battery == battery.SelectLittle)
@@ -526,7 +529,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		stepRes, err := source.Step(demandW, battTemp, dt)
-		timer.lapBattery(t0)
+		timer.lap(phaseBattery, t0)
 		if err != nil {
 			if errors.Is(err, battery.ErrExhausted) || errors.Is(err, battery.ErrDepleted) {
 				res.EndReason = EndExhausted
@@ -550,7 +553,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := net.Step(inputs, dt); err != nil {
 			return nil, fmt.Errorf("t=%.1f thermal: %w", now, err)
 		}
-		timer.lapThermal(t0)
+		timer.lap(phaseThermal, t0)
 
 		// Safety contracts, evaluated on true physics state only. A fatal
 		// violation latches the guard into its invariant mode, so from the

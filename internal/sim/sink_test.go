@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -62,6 +63,44 @@ func TestMetricsSinkCaptures(t *testing.T) {
 	}
 	if len(phases) != 5 {
 		t.Errorf("got %d phases, want 5: %v", len(phases), phases)
+	}
+}
+
+// cancelAfter wraps a policy and cancels the run's context from inside
+// its nth Decide call, so the run aborts at the next step boundary with
+// exactly n decisions made.
+type cancelAfter struct {
+	sched.Policy
+	n, decided int
+	cancel     context.CancelFunc
+}
+
+func (p *cancelAfter) Decide(c sched.Context) sched.Decision {
+	p.decided++
+	if p.decided == p.n {
+		p.cancel()
+	}
+	return p.Policy.Decide(c)
+}
+
+// TestMetricsSinkFlushedOnCancel: a run collects decision latencies in its
+// own histogram and folds them into the sink's when it ends, so a run
+// cancelled mid-way must still hand over every decision it made.
+func TestMetricsSinkFlushedOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := &cancelAfter{Policy: sched.NewDual(), n: 1000, cancel: cancel}
+	lat := obs.MustHistogram(obs.LatencyBuckets()...)
+	cfg := tracedConfig(t, p)
+	cfg.Metrics = &MetricsSink{DecisionLatency: lat}
+	if _, err := RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run error = %v, want context.Canceled", err)
+	}
+	if p.decided != p.n {
+		t.Fatalf("run made %d decisions, want %d", p.decided, p.n)
+	}
+	if got := lat.Count(); got != uint64(p.decided) {
+		t.Errorf("sink histogram holds %d decisions, want %d", got, p.decided)
 	}
 }
 

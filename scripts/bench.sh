@@ -8,10 +8,12 @@
 # twins/op, derived single-core twin-step throughput and zero-allocs/step
 # guard, plus a whole served-size 512-twin TTE cohort's ns/op and
 # twin-steps/s), then
-# the telemetry store scrape benchmark plus the unsampled request-trace
-# path into BENCH_obs.json (ns per full registry sample and two
-# zero-alloc hard gates: benchjson fails the run if BenchmarkStoreSample
-# or BenchmarkTraceUnsampled ever allocates), then the serving hot-path
+# the telemetry store scrape benchmark, the unsampled request-trace path
+# and the sim step's instrumentation cost into BENCH_obs.json (ns per full
+# registry sample, two zero-alloc hard gates: benchjson fails the run if
+# BenchmarkStoreSample or BenchmarkTraceUnsampled ever allocates, and
+# ns/step of a dual run bare, traced, and served the way capmand runs a
+# sim job), then the serving hot-path
 # benchmarks plus a capman-loadgen run against an in-process capmand
 # into BENCH_serve.json (cache-hit admission latency with the hard
 # 0 allocs/op gate, a cache hit through the whole HTTP handler,
@@ -55,6 +57,8 @@ go test -run '^$' -bench 'BenchmarkStoreSample' \
     -benchmem -benchtime "$BENCHTIME" ./internal/obs/tsdb | tee "$raw"
 go test -run '^$' -bench 'BenchmarkTraceUnsampled' \
     -benchmem -benchtime "$BENCHTIME" ./internal/obs | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkInstrumentedStep' \
+    -benchmem -benchtime "$BENCHTIME" ./internal/sim | tee -a "$raw"
 go run ./scripts/benchjson < "$raw" > "$OUT_OBS"
 echo "bench.sh: wrote $OUT_OBS"
 
