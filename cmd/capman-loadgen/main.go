@@ -25,7 +25,7 @@
 //	capman-loadgen -inprocess -mode open -rps 2000 -duration 5s -report load.json
 //	capman-loadgen -inprocess -requests 200 -expect-no-errors -min-hit-rate 0.9
 //
-// With -inprocess the tool spins up a full capmand (worker pool, sharded
+// With -inprocess the tool spins up a full capmand (worker pool, result
 // cache, admission gate) on a loopback listener and drives that, which
 // is how scripts/bench.sh produces BENCH_serve.json without needing a
 // deployed daemon.

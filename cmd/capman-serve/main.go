@@ -62,7 +62,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	cache := fs.Int("cache", 256, "result cache capacity (-1 disables)")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock timeout, starting at dequeue (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
-	retries := fs.Int("retries", 0, "max retries for retryable job failures (0 = default 2, -1 disables)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open an entry's circuit breaker (0 = default 5, -1 disables)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long an open breaker sheds load before probing (0 = default 30s)")
 	queueWaitWarn := fs.Duration("queue-wait-warn", 0, "warn when a job's queue wait exceeds this (0 = default 30s, -1ns disables)")
@@ -116,7 +115,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			QueueDepth:        *queue,
 			CacheSize:         *cache,
 			JobTimeout:        *jobTimeout,
-			MaxRetries:        *retries,
 			QueueWaitWarn:     *queueWaitWarn,
 			DisableInvariants: *noInvariants,
 			Invariants:        invOverride,

@@ -1,10 +1,9 @@
 // Command capman-spans renders request-trace waterfalls from a running
 // capmand. List mode searches the daemon's retained traces (the tail
-// sampler keeps every shed/error/retry-exhausted/SLO-breach/
-// fatal-invariant trace, plus a seeded sample of healthy ones); waterfall
-// mode fetches one trace by ID and draws its span tree as an ANSI Gantt
-// chart — queue wait, each retry attempt, and every engine phase on one
-// time axis.
+// sampler keeps every shed/error/SLO-breach/fatal-invariant trace, plus
+// a seeded sample of healthy ones); waterfall mode fetches one trace by
+// ID and draws its span tree as an ANSI Gantt chart — queue wait, the
+// job's attempt, and every engine phase on one time axis.
 //
 // Usage:
 //

@@ -16,8 +16,8 @@ import (
 	"repro/internal/server"
 )
 
-// fixtureTrace is a two-attempt failed job: request → queue + two
-// attempts, the second carrying an engine phase child.
+// fixtureTrace is a failed job that also breached its queue-wait SLO:
+// request → queue + one failed attempt carrying the engine spans.
 func fixtureTrace() obs.StoredTrace {
 	t0 := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
 	return obs.StoredTrace{
@@ -26,7 +26,7 @@ func fixtureTrace() obs.StoredTrace {
 		JobID:     "job-1",
 		Kind:      "sim",
 		Outcome:   "failed",
-		Flags:     []string{"error", "retry-exhausted"},
+		Flags:     []string{"error", "slo-breach"},
 		Start:     t0,
 		DurationS: 0.2,
 		Spans: []obs.SpanNode{{
@@ -34,12 +34,13 @@ func fixtureTrace() obs.StoredTrace {
 			Attrs: map[string]any{"job_id": "job-1"},
 			Children: []obs.SpanNode{
 				{Name: "queue", Start: t0, DurationMS: 50},
-				{Name: "attempt", Start: t0.Add(50 * time.Millisecond), DurationMS: 60,
-					Attrs: map[string]any{"attempt": 1, "error": "transient"}},
-				{Name: "attempt", Start: t0.Add(120 * time.Millisecond), DurationMS: 80,
-					Attrs: map[string]any{"attempt": 2},
+				{Name: "attempt", Start: t0.Add(50 * time.Millisecond), DurationMS: 150,
+					Attrs: map[string]any{"error": "diverged"},
 					Children: []obs.SpanNode{
-						{Name: "sim.run", Start: t0.Add(121 * time.Millisecond), DurationMS: 70},
+						{Name: "sim.run", Start: t0.Add(51 * time.Millisecond), DurationMS: 140,
+							Children: []obs.SpanNode{
+								{Name: "phase:policy", Start: t0.Add(52 * time.Millisecond), DurationMS: 90},
+							}},
 					}},
 			},
 		}},
@@ -63,9 +64,9 @@ func TestWaterfallFromFile(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		tr.TraceID, "failed", "[error,retry-exhausted]",
-		"request", "queue", "attempt", "sim.run",
-		"█", "error=transient", "job=job-1",
+		tr.TraceID, "failed", "[error,slo-breach]",
+		"request", "queue", "attempt", "sim.run", "phase:policy",
+		"█", "error=diverged", "job=job-1",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, got)
@@ -134,7 +135,7 @@ func TestListMode(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	got := out.String()
-	for _, want := range []string{tr.TraceID, "failed", "5 spans", "[error,retry-exhausted]", "1 retained", "1 signal"} {
+	for _, want := range []string{tr.TraceID, "failed", "5 spans", "[error,slo-breach]", "1 retained", "1 signal"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("list output missing %q:\n%s", want, got)
 		}

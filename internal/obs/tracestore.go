@@ -44,8 +44,8 @@ type StoredTrace struct {
 	Kind    string `json:"kind,omitempty"`
 	Outcome string `json:"outcome"`
 	// Flags lists why the tail sampler had to keep this trace: "shed",
-	// "error", "retry-exhausted", "slo-breach", "fatal-invariant". Empty
-	// for healthy traces that survived the probability draw.
+	// "error", "slo-breach", "fatal-invariant". Empty for healthy traces
+	// that survived the probability draw.
 	Flags        []string   `json:"flags,omitempty"`
 	Start        time.Time  `json:"start"`
 	DurationS    float64    `json:"duration_s"`

@@ -64,8 +64,8 @@ func TestTailSamplingDeterministic(t *testing.T) {
 }
 
 // TestSignalTracesAlwaysKept pins the tail sampler's core promise: a
-// signal trace (shed, error, retry-exhausted, SLO breach, fatal
-// invariant) is retained regardless of the sampling rate — even 0.
+// signal trace (shed, error, SLO breach, fatal invariant) is retained
+// regardless of the sampling rate — even 0.
 func TestSignalTracesAlwaysKept(t *testing.T) {
 	s := NewTraceStore(1024, 0, 1) // rate 0: every healthy trace drops
 	for i := 0; i < 512; i++ {

@@ -495,7 +495,13 @@ func evalSeries(q Query, s *series, raw []rawPoint) []Point {
 	stepMS := q.Step.Milliseconds()
 	startMS := q.Start.UnixMilli()
 	endMS := q.End.UnixMilli()
-	var out []Point
+	var (
+		out   []Point
+		delta []uint64 // OpQuantile's per-step bucket deltas, reused
+	)
+	if q.Op == OpQuantile && s.nb > 0 {
+		delta = make([]uint64, s.nb)
+	}
 	for t := startMS; t <= endMS; t += stepMS {
 		cur, ok := lastAtOrBefore(raw, t)
 		if !ok {
@@ -536,11 +542,15 @@ func evalSeries(q Query, s *series, raw []rawPoint) []Point {
 			if !ok || base == cur {
 				continue
 			}
-			v, ok := bucketQuantile(q.Q, s.bounds, raw[base].buckets, raw[cur].buckets)
-			if !ok {
+			h := obs.HistogramSnapshot{Bounds: s.bounds, Counts: delta}
+			for i, c := range raw[cur].buckets {
+				delta[i] = c - raw[base].buckets[i]
+				h.Count += delta[i]
+			}
+			if h.Count == 0 {
 				continue
 			}
-			out = append(out, Point{T: t, V: v})
+			out = append(out, Point{T: t, V: h.Quantile(q.Q)})
 		}
 	}
 	return out
@@ -554,43 +564,6 @@ func lastAtOrBefore(raw []rawPoint, t int64) (int, bool) {
 		return 0, false
 	}
 	return i - 1, true
-}
-
-// bucketQuantile computes the q-quantile of the observations recorded
-// between two cumulative bucket vectors, by the same linear
-// interpolation obs.HistogramSnapshot.Quantile uses (+Inf clamps to the
-// last finite bound). ok is false when the window holds no observations.
-func bucketQuantile(q float64, bounds []float64, base, cur []uint64) (float64, bool) {
-	var total uint64
-	for i := range cur {
-		total += cur[i] - base[i]
-	}
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * float64(total)
-	var run uint64
-	for i := range cur {
-		c := cur[i] - base[i]
-		prev := run
-		run += c
-		if float64(run) < rank {
-			continue
-		}
-		if i >= len(bounds) { // +Inf bucket: clamp
-			return bounds[len(bounds)-1], true
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		hi := bounds[i]
-		if c == 0 {
-			return hi, true
-		}
-		return lo + (hi-lo)*(rank-float64(prev))/float64(c), true
-	}
-	return bounds[len(bounds)-1], true
 }
 
 // ---------------------------------------------------------------------------
@@ -633,15 +606,14 @@ func (w WindowStats) Quantile(q float64) (float64, bool) {
 	if !w.Hist || w.BucketDelta == nil {
 		return 0, false
 	}
-	var total uint64
+	h := obs.HistogramSnapshot{Bounds: w.Bounds, Counts: w.BucketDelta}
 	for _, c := range w.BucketDelta {
-		total += c
+		h.Count += c
 	}
-	if total == 0 {
+	if h.Count == 0 {
 		return 0, false
 	}
-	zero := make([]uint64, len(w.BucketDelta))
-	return bucketQuantile(q, w.Bounds, zero, w.BucketDelta)
+	return h.Quantile(q), true
 }
 
 // BadAbove counts windowed observations in buckets wholly above the

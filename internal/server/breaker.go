@@ -60,8 +60,8 @@ type breaker struct {
 	probing  bool      // a half-open probe is in flight
 }
 
-// breakerSet owns every per-entry breaker. It is its own lock domain so
-// the executor's job lock is never held across breaker decisions.
+// breakerSet owns every per-entry breaker. Its lock is a leaf: the
+// executor calls in with its job lock held and nothing here calls out.
 type breakerSet struct {
 	cfg BreakerConfig
 
@@ -153,6 +153,20 @@ func (s *breakerSet) Record(key string, failed bool) (tripped bool) {
 		b.failures = 0
 	}
 	return false
+}
+
+// Release frees a half-open breaker's probe slot without a verdict: a
+// cancelled job says nothing about the entry's health, so the breaker
+// stays half-open and the next submission becomes the probe.
+func (s *breakerSet) Release(key string) {
+	if s.cfg.Threshold < 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b := s.breakers[key]; b != nil && b.state == breakerHalfOpen {
+		b.probing = false
+	}
 }
 
 // States snapshots every known breaker's state for metrics.

@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// refLRU is a deliberately naive reference LRU used to pin the sharded
-// cache's per-shard semantics: a recency slice and a map, nothing shared
-// with the production implementation.
+// refLRU is a deliberately naive reference LRU used to pin the cache's
+// semantics: a recency slice and a map, nothing shared with the
+// production implementation.
 type refLRU struct {
 	capacity  int
 	order     []CacheKey // index 0 = most recently used
@@ -70,24 +70,13 @@ func traceKey(i int) CacheKey {
 }
 
 // TestShardedCacheMatchesReferencePerShard replays one deterministic
-// mixed get/put trace against the sharded cache and a per-shard fleet of
-// reference LRUs (routed by the same shard-selection function), checking
-// every hit/miss verdict, the surviving contents, and per-shard eviction
-// counts. This is the semantics pin for the shard rewrite.
+// mixed get/put trace against the cache and a reference LRU of the same
+// capacity, checking every hit/miss verdict, the surviving contents, and
+// the eviction count.
 func TestShardedCacheMatchesReferencePerShard(t *testing.T) {
-	const capacity, shards, keySpace, ops = 64, 8, 256, 4096
-	c := NewShardedCache(capacity, shards)
-	if len(c.shards) != shards {
-		t.Fatalf("shard count %d, want %d", len(c.shards), shards)
-	}
-	refs := make([]*refLRU, shards)
-	for i, s := range c.shards {
-		refs[i] = newRefLRU(s.capacity)
-	}
-	route := func(key CacheKey) *refLRU {
-		idx := uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24
-		return refs[idx&c.mask]
-	}
+	const capacity, keySpace, ops = 64, 256, 4096
+	c := NewCache(capacity)
+	ref := newRefLRU(capacity)
 	outcomes := make(map[CacheKey]*Outcome)
 	rng := rand.New(rand.NewSource(42))
 	for op := 0; op < ops; op++ {
@@ -99,11 +88,11 @@ func TestShardedCacheMatchesReferencePerShard(t *testing.T) {
 				outcomes[key] = out
 			}
 			c.put(&cacheEntry{key: key, outcome: out})
-			route(key).put(key, out)
+			ref.put(key, out)
 			continue
 		}
 		gotEnt, gotOK := c.lookup(key)
-		wantOut, wantOK := route(key).get(key)
+		wantOut, wantOK := ref.get(key)
 		if gotOK != wantOK {
 			t.Fatalf("op %d: lookup(%x) = %v, reference %v", op, key[:4], gotOK, wantOK)
 		}
@@ -111,89 +100,16 @@ func TestShardedCacheMatchesReferencePerShard(t *testing.T) {
 			t.Fatalf("op %d: lookup(%x) returned wrong outcome pointer", op, key[:4])
 		}
 	}
-	var wantLen int
-	var wantEvictions uint64
-	for i, ref := range refs {
-		wantLen += len(ref.values)
-		wantEvictions += ref.evictions
-		if got := c.shards[i].evictions; got != ref.evictions {
-			t.Errorf("shard %d evictions = %d, reference %d", i, got, ref.evictions)
-		}
-		for key := range ref.values {
-			if _, ok := c.shards[i].entries[key]; !ok {
-				t.Errorf("shard %d lost key %x still present in reference", i, key[:4])
-			}
+	for key := range ref.values {
+		if _, ok := c.entries[key]; !ok {
+			t.Errorf("cache lost key %x still present in reference", key[:4])
 		}
 	}
-	if c.Len() != wantLen {
-		t.Errorf("Len() = %d, reference %d", c.Len(), wantLen)
+	if c.Len() != len(ref.values) {
+		t.Errorf("Len() = %d, reference %d", c.Len(), len(ref.values))
 	}
-	if c.Evictions() != wantEvictions {
-		t.Errorf("Evictions() = %d, reference %d", c.Evictions(), wantEvictions)
-	}
-}
-
-// TestShardedCacheEvictionTotalsMatchSingleLock drives the same
-// deterministic insert trace through a single-shard cache (the exact
-// pre-shard implementation semantics) and an 8-way sharded one. With
-// every shard pushed well past its slice of the capacity, aggregate
-// eviction counts and sizes must be bit-identical: inserts − capacity.
-func TestShardedCacheEvictionTotalsMatchSingleLock(t *testing.T) {
-	const capacity, inserts = 64, 2048
-	single := NewShardedCache(capacity, 1)
-	sharded := NewShardedCache(capacity, 8)
-	out := &Outcome{}
-	for i := 0; i < inserts; i++ {
-		key := traceKey(i)
-		single.put(&cacheEntry{key: key, outcome: out})
-		sharded.put(&cacheEntry{key: key, outcome: out})
-	}
-	if single.Len() != capacity || sharded.Len() != capacity {
-		t.Errorf("Len single=%d sharded=%d, want both %d", single.Len(), sharded.Len(), capacity)
-	}
-	want := uint64(inserts - capacity)
-	if got := single.Evictions(); got != want {
-		t.Errorf("single-lock evictions = %d, want %d", got, want)
-	}
-	if got := sharded.Evictions(); got != want {
-		t.Errorf("sharded evictions = %d, want %d (not bit-identical to single lock)", got, want)
-	}
-}
-
-// TestShardedCacheCapacitySplit checks the constructor's carving rules:
-// capacities distribute exactly, tiny capacities shrink the shard count
-// rather than strand zero-capacity shards, and non-power-of-two requests
-// round up.
-func TestShardedCacheCapacitySplit(t *testing.T) {
-	cases := []struct {
-		capacity, shards, wantShards, wantCap int
-	}{
-		{256, 16, 16, 256},
-		{10, 4, 4, 10},
-		{3, 16, 2, 3},
-		{1, 8, 1, 1},
-		{100, 3, 4, 100},
-		{-1, 4, 4, 0},
-	}
-	for _, tc := range cases {
-		c := NewShardedCache(tc.capacity, tc.shards)
-		if len(c.shards) != tc.wantShards {
-			t.Errorf("NewShardedCache(%d, %d): %d shards, want %d",
-				tc.capacity, tc.shards, len(c.shards), tc.wantShards)
-		}
-		total := 0
-		for _, s := range c.shards {
-			if tc.capacity > 0 && s.capacity <= 0 {
-				t.Errorf("NewShardedCache(%d, %d): zero-capacity shard", tc.capacity, tc.shards)
-			}
-			if s.capacity > 0 {
-				total += s.capacity
-			}
-		}
-		if tc.capacity > 0 && total != tc.wantCap {
-			t.Errorf("NewShardedCache(%d, %d): total capacity %d, want %d",
-				tc.capacity, tc.shards, total, tc.wantCap)
-		}
+	if c.Evictions() != ref.evictions {
+		t.Errorf("Evictions() = %d, reference %d", c.Evictions(), ref.evictions)
 	}
 }
 
@@ -204,7 +120,7 @@ func TestShardedCacheCapacitySplit(t *testing.T) {
 // the cache never exceeds capacity once the dust settles.
 func TestShardedCacheConcurrent(t *testing.T) {
 	const capacity, workers, opsEach = 32, 8, 2000
-	c := NewShardedCache(capacity, 8)
+	c := NewCache(capacity)
 	out := &Outcome{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -239,8 +155,7 @@ func TestShardedCacheConcurrent(t *testing.T) {
 }
 
 // TestConcurrentSubmissionsAcrossShards holds several distinct specs
-// in-flight simultaneously (their keys landing on different shards) and
-// checks single-flight still coalesces per key: every spec runs exactly
+// in-flight simultaneously and checks single-flight still coalesces per key: every spec runs exactly
 // once no matter how many submissions raced onto it.
 func TestConcurrentSubmissionsAcrossShards(t *testing.T) {
 	const distinct, dupes = 6, 4

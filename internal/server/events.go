@@ -19,11 +19,9 @@ const (
 	EventSubmitted        = "submitted"
 	EventQueued           = "queued"
 	EventRunning          = "running"
-	EventRetrying         = "retrying"
 	EventDone             = "done"
 	EventFailed           = "failed"
 	EventCancelled        = "cancelled"
-	EventCacheHit         = "cache-hit"
 	EventCoalesced        = "coalesced"
 	EventQueueWaitWarning = "queue-wait-warning"
 )

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -56,24 +55,6 @@ func (e *ShedError) Error() string {
 
 func (e *ShedError) Is(target error) bool { return target == ErrShed }
 
-// ErrRetryable marks transient job failures: a job whose error wraps it
-// (or implements Retryable() bool) is re-run with backoff up to
-// ExecutorConfig.MaxRetries times before the failure is published.
-var ErrRetryable = errors.New("server: retryable failure")
-
-// isRetryable classifies a job error. Cancellations and timeouts are
-// never retryable — the caller asked the job to stop.
-func isRetryable(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if errors.Is(err, ErrRetryable) {
-		return true
-	}
-	var r interface{ Retryable() bool }
-	return errors.As(err, &r) && r.Retryable()
-}
-
 // ExecutorConfig sizes the worker pool.
 type ExecutorConfig struct {
 	// Workers is the pool size (default GOMAXPROCS).
@@ -85,22 +66,13 @@ type ExecutorConfig struct {
 	// JobTimeout caps each job's wall-clock execution; zero means no
 	// timeout. A timed-out job fails with context.DeadlineExceeded. The
 	// clock starts when a worker dequeues the job, not at submission —
-	// time spent queued is reported separately as queue_wait_seconds —
-	// and it spans every retry attempt of that job.
+	// time spent queued is reported separately as queue_wait_seconds.
 	JobTimeout time.Duration
-	// MaxRetries bounds how many times a job that fails with a retryable
-	// error (see ErrRetryable) is re-run before the failure is published
-	// (default 2; negative disables retries).
-	MaxRetries int
-	// RetryBaseDelay seeds the exponential backoff between retry attempts
-	// (default 50ms); each attempt doubles it and adds random jitter.
-	RetryBaseDelay time.Duration
 	// Breaker tunes the per-registry-entry circuit breakers that shed
 	// load after consecutive failures (see BreakerConfig for defaults).
 	Breaker BreakerConfig
 	// CacheSize bounds the content-addressed result cache (default 256;
-	// negative disables caching). The cache is sharded across up to 16
-	// power-of-two shards sized from this capacity.
+	// negative disables caching).
 	CacheSize int
 	// QueueWaitWarn is the queue-wait threshold above which a dequeued
 	// job logs a warning (with its request ID) and increments
@@ -146,15 +118,6 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = -1 // any negative value means "no retries"
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 50 * time.Millisecond
-	}
 	if c.QueueWaitWarn == 0 {
 		c.QueueWaitWarn = 30 * time.Second
 	}
@@ -175,22 +138,21 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 
 // Executor owns the job table and the bounded worker pool that drains the
 // FIFO queue. Concurrent identical submissions coalesce onto one in-flight
-// job (single flight, tracked per cache shard), and finished outcomes are
-// served from the content-addressed cache — the hot path touches only a
-// shard lock and allocates nothing.
+// job (single flight, tracked in the cache), and finished outcomes are
+// served from the content-addressed cache — the hot path touches only the
+// cache lock and allocates nothing.
 //
-// Lock order: e.mu before any cacheShard.mu; the shard locks are leaves.
+// Lock order: e.mu before the cache lock and the breaker lock; both are
+// leaves.
 // Every single-flight mutation (setFlight/clearFlight and the coalesce
 // check) happens with e.mu held, so the flight table and the job table
-// can never disagree; the Submit fast path takes only the shard lock.
+// can never disagree; the Submit fast path takes only the cache lock.
 type Executor struct {
 	registry   *Registry
 	metrics    *Metrics
 	cache      *Cache
 	workers    int
 	timeout    time.Duration
-	maxRetries int
-	retryBase  time.Duration
 	queueWarn  time.Duration
 	breakers   *breakerSet
 	logger     *slog.Logger
@@ -231,11 +193,9 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 	e := &Executor{
 		registry:   cfg.Registry,
 		metrics:    cfg.Metrics,
-		cache:      NewShardedCache(cfg.CacheSize, cacheShardsFor(cfg.CacheSize)),
+		cache:      NewCache(cfg.CacheSize),
 		workers:    cfg.Workers,
 		timeout:    cfg.JobTimeout,
-		maxRetries: cfg.MaxRetries,
-		retryBase:  cfg.RetryBaseDelay,
 		queueWarn:  cfg.QueueWaitWarn,
 		breakers:   newBreakerSet(cfg.Breaker),
 		logger:     cfg.Logger,
@@ -244,9 +204,6 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		runFn:      runJob,
 		jobs:       make(map[string]*Job),
 		queue:      make(chan *Job, cfg.QueueDepth),
-	}
-	if e.maxRetries < 0 {
-		e.maxRetries = 0
 	}
 	if cfg.DisableInvariants {
 		e.invariants = nil
@@ -284,10 +241,10 @@ func (e *Executor) transition(job *Job, typ, detail string) {
 }
 
 // Submit validates and enqueues one job, returning its snapshot. A spec
-// whose outcome is already cached is served straight from the shard — a
+// whose outcome is already cached is served straight from the cache — a
 // terminal cache-hit View with no job ID, since nothing was minted; the
 // steady-state hit path performs zero heap allocations (pooled canonical
-// buffer, stack hash, shard-lock lookup). A spec identical to a queued or
+// buffer, stack hash, one locked lookup). A spec identical to a queued or
 // running job coalesces onto that job instead of enqueueing a duplicate.
 // A registry entry whose recent jobs kept failing is shed with
 // ErrBreakerOpen, and an overloaded daemon sheds new work with *ShedError
@@ -677,18 +634,17 @@ func (e *Executor) worker() {
 			kind = "tte"
 		}
 		var (
-			out      *Outcome
-			attempts int
-			err      error
+			out *Outcome
+			err error
 		)
 		e.metrics.WorkersBusy.Add(1)
 		pprof.Do(ctx, pprof.Labels("kind", kind, "request_id", job.RequestID),
 			func(ctx context.Context) {
-				out, attempts, err = e.runWithRetries(ctx, job, spec, cfg)
+				out, err = e.runAttempt(ctx, spec, cfg)
 			})
 		cancel()
 		e.metrics.WorkersBusy.Add(-1)
-		state, detail := StateDone, fmt.Sprintf("%d attempt(s)", attempts)
+		state, detail := StateDone, ""
 		switch {
 		case err == nil:
 			// Host timings stay on the sim.run span; the cached bytes must
@@ -700,13 +656,6 @@ func (e *Executor) worker() {
 			state, detail = StateCancelled, err.Error()
 		default:
 			state, detail = StateFailed, err.Error()
-		}
-		// A cancellation says nothing about the registry entry's health,
-		// so it does not feed the breaker.
-		if state != StateCancelled {
-			if e.breakers.Record(breakerKey(spec), state == StateFailed) {
-				e.metrics.BreakerTrips.Inc()
-			}
 		}
 		if out != nil && out.Run != nil {
 			e.metrics.FaultsInjected.Add(uint64(out.Run.FaultCounts.Total()))
@@ -722,7 +671,7 @@ func (e *Executor) worker() {
 			}
 		}
 		e.mu.Lock()
-		job.Attempts = attempts
+		job.Attempts = 1
 		e.finish(job, state, out, err, detail, before)
 		e.mu.Unlock()
 	}
@@ -732,10 +681,11 @@ func (e *Executor) worker() {
 // does, for the worker, Cancel and Drain alike, and it runs with e.mu
 // held so the job's record is complete before anyone sees it terminal:
 // outcome and cache publication, the lifecycle event, exactly one of
-// jobs_{completed,failed,cancelled}_total, the wall-time histograms (for
-// jobs that ran), closed queue and request spans, a failed job's flight
-// box, and the tail-sampling decision. before is the metrics snapshot
-// taken when the job started; the flight box reports what moved since.
+// jobs_{completed,failed,cancelled}_total, the breaker feedback, the
+// wall-time histograms (for jobs that ran), closed queue and request
+// spans, a failed job's flight box, and the tail-sampling decision.
+// before is the metrics snapshot taken when the job started; the flight
+// box reports what moved since.
 func (e *Executor) finish(job *Job, state State, out *Outcome, err error, detail string, before []metrics.Sample) {
 	job.State = state
 	job.FinishedAt = time.Now()
@@ -758,6 +708,13 @@ func (e *Executor) finish(job *Job, state State, out *Outcome, err error, detail
 		e.metrics.JobsCancelled.Inc()
 		typ = EventCancelled
 	}
+	// A cancellation says nothing about the registry entry's health: it
+	// gives the breaker no verdict, but frees a half-open probe slot.
+	if bkey := breakerKey(job.Spec); state == StateCancelled {
+		e.breakers.Release(bkey)
+	} else if e.breakers.Record(bkey, state == StateFailed) {
+		e.metrics.BreakerTrips.Inc()
+	}
 	e.transition(job, typ, detail)
 	wait, wall := job.waitWall()
 	if !job.StartedAt.IsZero() {
@@ -768,10 +725,9 @@ func (e *Executor) finish(job *Job, state State, out *Outcome, err error, detail
 	}
 	job.queueSpan.End()
 	job.rootSpan.SetAttr("state", string(state))
-	job.rootSpan.SetAttr("attempts", job.Attempts)
 	job.rootSpan.End()
 	if state == StateFailed {
-		box := job.rec.Box(fmt.Sprintf("job failed after %d attempt(s): %v", job.Attempts, err))
+		box := job.rec.Box(fmt.Sprintf("job failed: %v", err))
 		box.TraceID = job.traceID()
 		job.flight = &JobFlight{
 			ID: job.ID, RequestID: job.RequestID, State: state,
@@ -790,8 +746,7 @@ func (e *Executor) finish(job *Job, state State, out *Outcome, err error, detail
 		log = e.logger.Warn
 	}
 	log("job "+string(state), "request_id", job.RequestID, "job_id", job.ID,
-		"queue_wait_s", wait.Seconds(), "wall_s", wall.Seconds(),
-		"attempts", job.Attempts, "detail", detail)
+		"queue_wait_s", wait.Seconds(), "wall_s", wall.Seconds(), "detail", detail)
 }
 
 // sink builds the MetricsSink that feeds a running job's instrumentation
@@ -834,80 +789,28 @@ func (e *Executor) sink() *sim.MetricsSink {
 	}
 }
 
-// runWithRetries executes one job, re-running retryable failures (see
-// isRetryable) with exponential backoff until an attempt succeeds, the
-// retry budget is spent, or ctx — which carries the job timeout and
-// cancellation — expires. It reports how many attempts ran (at least 1)
-// and records each retry as a lifecycle transition.
-func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, cfg resolved) (*Outcome, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		// Each attempt gets its own span under the request's root, so a
-		// retried job's waterfall shows every try (and its backoff gap),
-		// with the engine's phase spans nested inside the attempt.
-		attemptCtx, span := obs.StartSpan(ctx, "attempt")
-		span.SetAttr("attempt", attempts)
-		out, err := e.runRecovered(attemptCtx, spec, cfg)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		span.End()
-		if err == nil || attempts > e.maxRetries || !isRetryable(err) {
-			return out, attempts, err
-		}
-		e.metrics.JobRetries.Inc()
-		delay := backoff(e.retryBase, attempts)
-		e.mu.Lock()
-		e.transition(job, EventRetrying,
-			fmt.Sprintf("attempt %d failed (%v); backing off %s", attempts, err, delay.Round(time.Millisecond)))
-		e.mu.Unlock()
-		// Tee the warning onto the failed attempt's span: the record keeps
-		// it even when the service logger's level discards it.
-		slog.New(span.TeeHandler(e.logger.Handler())).Warn("job attempt failed; retrying",
-			"request_id", job.RequestID, "job_id", job.ID,
-			"attempt", attempts, "backoff", delay.String(), "error", err)
-		if !sleepCtx(ctx, delay) {
-			return nil, attempts, err // timeout or cancel during backoff
-		}
-	}
-}
-
-// runRecovered invokes the run function with panic isolation: a panic in
-// a policy or workload becomes this job's error, so the worker goroutine
-// — and with it the pool — survives.
-func (e *Executor) runRecovered(ctx context.Context, spec JobSpec, cfg resolved) (out *Outcome, err error) {
+// runAttempt executes one job under an "attempt" span nested in the
+// request's root, so the engine's phase spans sit inside it. A panic in a
+// policy or workload becomes this job's error, so the worker goroutine —
+// and with it the pool — survives. A failure (not a cancellation) is
+// logged through a tee onto the attempt span, so the job's record keeps
+// the warning even when the service logger's level discards it.
+func (e *Executor) runAttempt(ctx context.Context, spec JobSpec, cfg resolved) (out *Outcome, err error) {
+	ctx, span := obs.StartSpan(ctx, "attempt")
 	defer func() {
 		if r := recover(); r != nil {
 			e.metrics.JobPanics.Inc()
 			out, err = nil, fmt.Errorf("server: job panicked: %v", r)
 		}
+		if err != nil {
+			span.SetAttr("error", err.Error())
+			if !errors.Is(err, context.Canceled) {
+				slog.New(span.TeeHandler(obs.Logger(ctx).Handler())).Warn("job attempt failed", "error", err)
+			}
+		}
+		span.End()
 	}()
 	return e.runFn(ctx, spec, cfg)
-}
-
-// backoff is the delay before retrying after attempt n (1-based): the
-// base doubled per attempt, capped at 5s, plus up to 50% random jitter to
-// decorrelate retry storms.
-func backoff(base time.Duration, attempt int) time.Duration {
-	d := base << (attempt - 1)
-	if d > 5*time.Second || d <= 0 { // <= 0: shift overflow
-		d = 5 * time.Second
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
-// sleepCtx waits for d or until ctx is done, reporting whether the full
-// delay elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // runJob executes the resolved configuration: a Monte Carlo time-to-empty

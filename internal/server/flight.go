@@ -8,7 +8,7 @@ import (
 )
 
 // ErrNoFlight reports that a job exists but has no flight box: it has not
-// failed (boxes are cut only when a job's retries are exhausted).
+// failed.
 var ErrNoFlight = errors.New("server: no flight box recorded for job")
 
 // JobFlight is a failed job's "black box": its span recorder cut at

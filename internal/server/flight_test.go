@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -28,13 +27,12 @@ func faultySpec() JobSpec {
 }
 
 // alwaysFail wraps the real runner: the simulation executes in full (so
-// spans, degradations, and sink metrics are real) but the job still fails
-// with a retryable error, exhausting the retry budget.
+// spans, degradations, and sink metrics are real) but the job still fails.
 func alwaysFail(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
 	if _, err := runJob(ctx, spec, cfg); err != nil {
 		return nil, err
 	}
-	return nil, fmt.Errorf("%w: injected post-run failure", ErrRetryable)
+	return nil, errors.New("injected post-run failure")
 }
 
 // boxEvents flattens the events of a span forest, depth first.
@@ -47,9 +45,9 @@ func boxEvents(spans []obs.SpanNode) []obs.SpanEvent {
 	return out
 }
 
-// TestFailedJobFlightBox: a fault-injected job whose retries exhaust gets
-// a black box whose spans carry the lifecycle events (retries included),
-// degrade breadcrumbs, and teed log records, plus the registry metric
+// TestFailedJobFlightBox: a fault-injected job that fails gets a black
+// box whose spans carry the lifecycle events, degrade breadcrumbs, and
+// teed log records, plus the registry metric
 // deltas — whether or not request tracing is enabled. With tracing on the
 // box links a trace that resolves.
 func TestFailedJobFlightBox(t *testing.T) {
@@ -63,7 +61,7 @@ func TestFailedJobFlightBox(t *testing.T) {
 func testFailedJobFlightBox(t *testing.T, traceDisable bool) {
 	m := NewMetrics()
 	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, Metrics: m, MaxRetries: 1, RetryBaseDelay: time.Millisecond,
+		Workers: 1, Metrics: m,
 		Trace: TraceConfig{Disable: traceDisable, SampleRate: -1},
 	})
 	e.runFn = alwaysFail
@@ -83,8 +81,8 @@ func testFailedJobFlightBox(t *testing.T, traceDisable bool) {
 	if err != nil {
 		t.Fatalf("Flight(%s): %v", v.ID, err)
 	}
-	if fl.State != StateFailed || fl.Error == "" || fl.Attempts != 2 {
-		t.Errorf("flight header = %+v, want failed state, error, 2 attempts", fl)
+	if fl.State != StateFailed || fl.Error == "" || fl.Attempts != 1 {
+		t.Errorf("flight header = %+v, want failed state, error, 1 attempt", fl)
 	}
 	if fl.Box.Reason == "" || len(fl.Box.Spans) == 0 {
 		t.Fatalf("flight box empty: reason=%q spans=%d", fl.Box.Reason, len(fl.Box.Spans))
@@ -98,7 +96,7 @@ func testFailedJobFlightBox(t *testing.T, traceDisable bool) {
 			lifecycle[ev.Name]++
 		}
 	}
-	for _, want := range []string{EventSubmitted, EventRunning, EventRetrying, EventFailed} {
+	for _, want := range []string{EventSubmitted, EventRunning, EventFailed} {
 		if lifecycle[want] == 0 {
 			t.Errorf("flight box missing %s lifecycle event (have %v)", want, lifecycle)
 		}
@@ -173,7 +171,7 @@ func TestFlightDisabledAndMissing(t *testing.T) {
 // that fails, poll it terminal, fetch its black box, and check the 404s.
 func TestFlightHTTPEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, ExecutorConfig{
-		Workers: 1, MaxRetries: -1, RetryBaseDelay: time.Millisecond,
+		Workers: 1,
 	})
 	srv.Executor().runFn = alwaysFail
 

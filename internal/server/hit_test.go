@@ -59,15 +59,11 @@ func bodyAlias(kind string, body []byte) CacheKey {
 	return sha256.Sum256(append(append([]byte(kind), 0), body...))
 }
 
-// aliasCount totals the cache's aliases across shards.
+// aliasCount returns how many aliases the cache holds.
 func aliasCount(c *Cache) int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.aliases)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.aliases)
 }
 
 // assertHitBody checks that a hit response is the bytes writeJSON writes
@@ -256,7 +252,7 @@ func TestAliasRouteAndBadBodies(t *testing.T) {
 
 // TestAliasesBounded: more distinct bodies than the alias bound, all
 // spellings of one cached spec, leave at most aliasesPerSlot per cache
-// slot in every shard, and every one is still served as a hit.
+// slot, and every one is still served as a hit.
 func TestAliasesBounded(t *testing.T) {
 	const capacity = 4
 	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, CacheSize: capacity})
@@ -274,11 +270,6 @@ func TestAliasesBounded(t *testing.T) {
 	}
 	if n := aliasCount(e.cache); n == 0 || n > limit {
 		t.Errorf("%d aliases after %d distinct bodies, want 1..%d", n, 5*limit, limit)
-	}
-	for i, sh := range e.cache.shards {
-		if len(sh.aliases) > aliasesPerSlot*sh.capacity {
-			t.Errorf("shard %d holds %d aliases for %d slots", i, len(sh.aliases), sh.capacity)
-		}
 	}
 }
 
@@ -332,17 +323,12 @@ func TestAliasOfEvictedEntryResubmits(t *testing.T) {
 // its entry's LRU recency like any other hit, so the next insert evicts
 // the entry that really was least recently used.
 func TestAliasHitRefreshesRecency(t *testing.T) {
-	// Three slots make two shards; find three specs that share the
-	// two-slot one.
-	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, CacheSize: 3})
+	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, CacheSize: 2})
 	e := s.Executor()
-	var specs []JobSpec
-	for seed := int64(0); len(specs) < 3; seed++ {
-		spec := fastSpec()
-		spec.Seed = seed
-		if key, _ := specKey(spec); e.cache.shard(key).capacity == 2 {
-			specs = append(specs, spec)
-		}
+	specs := make([]JobSpec, 3)
+	for i := range specs {
+		specs[i] = fastSpec()
+		specs[i].Seed = int64(i)
 	}
 	body := func(i int) []byte { b, _ := json.Marshal(specs[i]); return b }
 	key := func(i int) CacheKey { k, _ := specKey(specs[i]); return k }

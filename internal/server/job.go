@@ -70,8 +70,7 @@ func (o *Outcome) primeRaw() {
 }
 
 // MarshalJSON serves the primed bytes when present, falling back to stock
-// encoding for outcomes that never passed through a worker (tests,
-// legacy Put callers).
+// encoding for outcomes that never passed through a worker (tests).
 func (o *Outcome) MarshalJSON() ([]byte, error) {
 	if o.raw != nil {
 		return o.raw, nil
@@ -99,8 +98,7 @@ type Job struct {
 	State    State
 	Err      string
 	Outcome  *Outcome
-	CacheHit bool
-	Attempts int // execution attempts, counting retries (0 until dequeued)
+	Attempts int // 1 once a worker has run the job, 0 before
 
 	SubmittedAt time.Time
 	StartedAt   time.Time
@@ -180,7 +178,6 @@ func (j *Job) view() View {
 		State:       j.State,
 		Error:       j.Err,
 		Outcome:     j.Outcome,
-		CacheHit:    j.CacheHit,
 		Attempts:    j.Attempts,
 		SubmittedAt: j.SubmittedAt,
 	}

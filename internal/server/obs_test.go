@@ -332,7 +332,7 @@ func TestTimelineBounded(t *testing.T) {
 		e.mu.Lock()
 		job := e.jobs[v.ID]
 		for i := from; i < from+n; i++ {
-			e.transition(job, EventRetrying, fmt.Sprintf("attempt %d", i))
+			e.transition(job, EventCoalesced, fmt.Sprintf("attempt %d", i))
 		}
 		e.mu.Unlock()
 		tl, err := e.Events(v.ID)
@@ -357,7 +357,7 @@ func TestTimelineBounded(t *testing.T) {
 		if want := second.Dropped + i + 1; ev.Seq != want {
 			t.Errorf("event %d has Seq %d, want %d", i, ev.Seq, want)
 		}
-		if ev.Type != EventRetrying {
+		if ev.Type != EventCoalesced {
 			t.Errorf("event %d type %q survived past the newest %d", i, ev.Type, len(evs))
 		}
 		if i > 0 && ev.At.Before(evs[i-1].At) {

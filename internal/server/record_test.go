@@ -153,7 +153,7 @@ func TestTerminalJobsReleaseConfig(t *testing.T) {
 		checkRecord(t, e, StateDone, v.ID)
 	})
 	t.Run("failed", func(t *testing.T) {
-		e := newTestExecutor(t, cfg(ExecutorConfig{MaxRetries: -1}))
+		e := newTestExecutor(t, cfg(ExecutorConfig{}))
 		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
 			return nil, errors.New("boom")
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -79,71 +78,8 @@ func TestExecutorRecoversWorkerPanic(t *testing.T) {
 	}
 }
 
-// flakyRun fails with a retryable error until `failures` attempts have
-// been consumed, then delegates to the real runner.
-func flakyRun(failures int) (func(context.Context, JobSpec, resolved) (*Outcome, error), *atomic.Int32) {
-	var calls atomic.Int32
-	return func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
-		if int(calls.Add(1)) <= failures {
-			return nil, fmt.Errorf("%w: transient resolver hiccup", ErrRetryable)
-		}
-		return runJob(ctx, spec, cfg)
-	}, &calls
-}
-
-func TestExecutorRetriesRetryableFailures(t *testing.T) {
-	metrics := NewMetrics()
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, Metrics: metrics, RetryBaseDelay: time.Millisecond,
-	})
-	run, calls := flakyRun(2) // default MaxRetries 2 → third attempt wins
-	e.runFn = run
-
-	v, err := e.Submit(fastSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	if done.State != StateDone {
-		t.Fatalf("flaky job ended %q (err %q), want done after retries", done.State, done.Error)
-	}
-	if done.Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3", done.Attempts)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("runner called %d times, want 3", got)
-	}
-	if got := metrics.JobRetries.Value(); got != 2 {
-		t.Errorf("job_retries_total = %d, want 2", got)
-	}
-}
-
-func TestExecutorRetryBudgetExhausted(t *testing.T) {
-	metrics := NewMetrics()
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, Metrics: metrics, MaxRetries: 1, RetryBaseDelay: time.Millisecond,
-	})
-	run, calls := flakyRun(100) // never recovers within budget
-	e.runFn = run
-
-	v, err := e.Submit(fastSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	if done.State != StateFailed {
-		t.Fatalf("job ended %q, want failed after retry budget", done.State)
-	}
-	if done.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2 (1 try + 1 retry)", done.Attempts)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("runner called %d times, want 2", got)
-	}
-}
-
 func TestExecutorDoesNotRetryNonRetryable(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, RetryBaseDelay: time.Millisecond})
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	var calls atomic.Int32
 	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
 		calls.Add(1)
@@ -164,13 +100,82 @@ func TestExecutorDoesNotRetryNonRetryable(t *testing.T) {
 	}
 }
 
+// TestCancelledProbeReleasesBreaker: cancelling a half-open breaker's
+// probe, running or still queued, gives no verdict on the entry but frees
+// the probe slot, so the next submission for the entry probes again
+// instead of being shed as "probe in flight" forever.
+func TestCancelledProbeReleasesBreaker(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		name := "running"
+		if queued {
+			name = "queued"
+		}
+		t.Run(name, func(t *testing.T) {
+			e := newTestExecutor(t, ExecutorConfig{
+				Workers: 1,
+				Breaker: BreakerConfig{Threshold: 1, Cooldown: 20 * time.Millisecond},
+			})
+			release := make(chan struct{})
+			defer close(release)
+			e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+				if spec.Seed == 0 {
+					return nil, errors.New("entry is broken")
+				}
+				select {
+				case <-release:
+					return &Outcome{}, nil
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			seeded := func(policy string, seed int64) JobSpec {
+				spec := fastSpec()
+				spec.Policy, spec.Seed = policy, seed
+				return spec
+			}
+
+			v, err := e.Submit(seeded("dual", 0)) // one failure opens video/dual
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+			if queued { // occupy the only worker with another entry's job
+				busy, err := e.Submit(seeded("capman", 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				awaitExec(t, e, busy.ID, func(v View) bool { return v.State == StateRunning }, "running")
+			}
+			time.Sleep(40 * time.Millisecond) // out of the cooldown
+
+			probe, err := e.Submit(seeded("dual", 2))
+			if err != nil {
+				t.Fatalf("probe submit: %v", err)
+			}
+			if !queued {
+				awaitExec(t, e, probe.ID, func(v View) bool { return v.State == StateRunning }, "running")
+			}
+			if _, err := e.Cancel(probe.ID); err != nil {
+				t.Fatal(err)
+			}
+			awaitExec(t, e, probe.ID, func(v View) bool { return v.State == StateCancelled }, "cancelled")
+			if got := e.breakers.States()["video/dual"]; got != "half-open" {
+				t.Errorf("breaker %q after a cancelled probe, want half-open", got)
+			}
+			if _, err := e.Submit(seeded("dual", 3)); err != nil {
+				t.Errorf("submit after a cancelled probe: %v, want a new probe admitted", err)
+			}
+		})
+	}
+}
+
 // TestExecutorBreakerShedsAndRecovers drives the breaker end to end:
 // consecutive failures open it, submissions shed with ErrBreakerOpen,
 // the cooldown admits one probe, and a successful probe closes it.
 func TestExecutorBreakerShedsAndRecovers(t *testing.T) {
 	metrics := NewMetrics()
 	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, Metrics: metrics, MaxRetries: -1,
+		Workers: 1, Metrics: metrics,
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond},
 	})
 	var fail atomic.Bool
@@ -270,7 +275,6 @@ func TestExecutorTimeoutStartsAtDequeue(t *testing.T) {
 // Prometheus text format, including the labeled breaker gauge.
 func TestMetricsExposeRobustnessPanel(t *testing.T) {
 	m := NewMetrics()
-	m.JobRetries.Inc()
 	m.FaultsInjected.Add(7)
 	m.BreakerStates = func() map[string]string {
 		return map[string]string{"video/dual": "open", "video/capman": "closed"}
@@ -282,7 +286,6 @@ func TestMetricsExposeRobustnessPanel(t *testing.T) {
 	text := sb.String()
 	for _, want := range []string{
 		"capmand_job_panics_total 0",
-		"capmand_job_retries_total 1",
 		"capmand_breaker_trips_total 0",
 		"capmand_faults_injected_total 7",
 		"capmand_degradations_total 0",

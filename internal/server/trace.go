@@ -18,11 +18,11 @@ var errTracingOff = errors.New("server: request tracing is disabled")
 
 // Request tracing: every job minted by the executor carries a span
 // recorder rooted at admission — its one record, whose span events hold
-// the lifecycle, retries, teed logs and engine breadcrumbs — and a 128-bit
-// trace ID (taken from the submission's W3C traceparent header when one
-// was sent, minted otherwise), so one trace covers queue wait, every retry
-// attempt, and the engine's per-phase spans. The keep/drop decision is tail-based — made at
-// completion by obs.TraceStore — so sheds, errors, exhausted retries,
+// the lifecycle, teed logs and engine breadcrumbs — and a 128-bit trace
+// ID (taken from the submission's W3C traceparent header when one was
+// sent, minted otherwise), so one trace covers queue wait, the job's
+// attempt, and the engine's per-phase spans. The keep/drop decision is
+// tail-based — made at completion by obs.TraceStore — so sheds, errors,
 // SLO breaches, and fatal invariant violations are always retained while
 // healthy traces thin to a deterministic sample. Retained traces are
 // served at GET /v1/traces (search) and GET /v1/traces/{id} (waterfall),
@@ -275,7 +275,7 @@ func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall
 		return
 	}
 	isTTE := job.Spec.Kind == "tte"
-	flags := e.traceFlags(state, out, wait, wall, job.Attempts, isTTE)
+	flags := e.traceFlags(state, out, wait, wall, isTTE)
 	keep, decision := e.traces.Decide(job.trace.TraceID, len(flags) > 0)
 	e.traceDecisionCounter(decision)
 	if !keep {
@@ -316,13 +316,10 @@ func (e *Executor) publishTrace(st *obs.StoredTrace) {
 
 // traceFlags derives the signal flags that force retention. An empty
 // result marks the trace healthy (retained only by the sample draw).
-func (e *Executor) traceFlags(state State, out *Outcome, wait, wall time.Duration, attempts int, isTTE bool) []string {
+func (e *Executor) traceFlags(state State, out *Outcome, wait, wall time.Duration, isTTE bool) []string {
 	var flags []string
 	if state == StateFailed {
 		flags = append(flags, "error")
-		if e.maxRetries > 0 && attempts > e.maxRetries {
-			flags = append(flags, "retry-exhausted")
-		}
 	}
 	if e.sloQueueWait > 0 && wait > e.sloQueueWait {
 		flags = append(flags, "slo-breach")

@@ -163,8 +163,8 @@ func TestTraceCacheHitWithInbound(t *testing.T) {
 }
 
 // TestTraceSignalRetention pins the tail sampler's contract at sample
-// rate -1 (retain NO healthy traces): every error, retry-exhausted,
-// shed, SLO-breach, and fatal-invariant trace is still retained.
+// rate -1 (retain NO healthy traces): every error, shed, SLO-breach, and
+// fatal-invariant trace is still retained.
 func TestTraceSignalRetention(t *testing.T) {
 	newE := func(t *testing.T, cfg ExecutorConfig) *Executor {
 		cfg.Trace = TraceConfig{SampleRate: -1}
@@ -209,33 +209,13 @@ func TestTraceSignalRetention(t *testing.T) {
 		if tr.Outcome != "failed" || !hasFlag(tr.Flags, "error") {
 			t.Errorf("trace outcome %s flags %v, want failed + error", tr.Outcome, tr.Flags)
 		}
-		if hasFlag(tr.Flags, "retry-exhausted") {
-			t.Errorf("non-retryable failure flagged retry-exhausted: %v", tr.Flags)
+		names := map[string]int{}
+		spanNames(tr.Spans, "", names)
+		if names["request>attempt"] != 1 {
+			t.Errorf("waterfall has %d attempt spans, want 1 (have %v)", names["request>attempt"], names)
 		}
 		if got := e.metrics.TracesTotal.WithLabelValues(obs.TraceDecisionSignal).Value(); got == 0 {
 			t.Error("capmand_traces_total{decision=signal} not incremented")
-		}
-	})
-
-	t.Run("retry-exhausted", func(t *testing.T) {
-		e := newE(t, ExecutorConfig{MaxRetries: 1, RetryBaseDelay: time.Millisecond})
-		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
-			return nil, fmt.Errorf("%w: always flaky", ErrRetryable)
-		}
-		v := submitTraced(t, e, fastSpec(), 2)
-		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-		tr, ok := e.Traces().Get(v.TraceID)
-		if !ok {
-			t.Fatal("retry-exhausted trace dropped")
-		}
-		if !hasFlag(tr.Flags, "error") || !hasFlag(tr.Flags, "retry-exhausted") {
-			t.Errorf("flags %v, want error + retry-exhausted", tr.Flags)
-		}
-		// Both attempts appear in the waterfall.
-		names := map[string]int{}
-		spanNames(tr.Spans, "", names)
-		if names["request>attempt"] != 2 {
-			t.Errorf("waterfall has %d attempt spans, want 2 (have %v)", names["request>attempt"], names)
 		}
 	})
 

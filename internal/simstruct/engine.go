@@ -84,11 +84,10 @@ type engine struct {
 	// Dirty-pair EMD cache, indexed i*m+j over canonical action pairs.
 	// emdSweep is the sweep an entry was solved at (0 = never);
 	// lastChanged, indexed u*n+v over canonical state pairs, is the sweep
-	// the state similarity last drifted per the SkipEps rule.
+	// the state similarity last changed at.
 	emdCache    []float64
 	emdSweep    []int32
 	lastChanged []int32
-	drift       []float64 // accumulated sub-SkipEps drift; nil when SkipEps == 0
 
 	// Per-worker scratch and per-phase outputs.
 	solvers    []*EMDSolver
@@ -186,9 +185,6 @@ func newEngine(g *mdp.Graph, cfg Config) (*engine, error) {
 	e.emdCache = make([]float64, m*m)
 	e.emdSweep = make([]int32, m*m)
 	e.lastChanged = make([]int32, n*n)
-	if cfg.SkipEps > 0 {
-		e.drift = make([]float64, n*n)
-	}
 
 	e.solvers = make([]*EMDSolver, workers)
 	for w := range e.solvers {
@@ -323,7 +319,7 @@ func (e *engine) sweepActions(ctx context.Context, sweep int32) (float64, error)
 
 // cacheValid reports whether the cached EMD for action pair (i, j) is still
 // exact: every state-pair similarity its ground distance read must be
-// unchanged (within the SkipEps drift budget) since the cached solve.
+// unchanged since the cached solve.
 func (e *engine) cacheValid(i, j, idx int) bool {
 	t0 := e.emdSweep[idx]
 	if t0 == 0 {
@@ -352,7 +348,6 @@ func (e *engine) cacheValid(i, j, idx int) bool {
 // maintains the dirty-pair bookkeeping, and returns the sup-norm change of
 // sigma_S.
 func (e *engine) sweepStates(ctx context.Context, sweep int32) (float64, error) {
-	skipEps := e.cfg.SkipEps
 	err := e.parallel(ctx, len(e.statePairs), func(w, lo, hi int) error {
 		actDist := func(i, j int) float64 { return clamp01(1 - e.nextA.At(i, j)) }
 		var worst float64
@@ -372,15 +367,8 @@ func (e *engine) sweepStates(ctx context.Context, sweep int32) (float64, error) 
 			if d > worst {
 				worst = d
 			}
-			idx := u*e.n + v
-			if skipEps > 0 {
-				e.drift[idx] += d
-				if e.drift[idx] > skipEps {
-					e.lastChanged[idx] = sweep
-					e.drift[idx] = 0
-				}
-			} else if d != 0 {
-				e.lastChanged[idx] = sweep
+			if d != 0 {
+				e.lastChanged[u*e.n+v] = sweep
 			}
 		}
 		e.workerMax[w] = worst

@@ -288,39 +288,6 @@ func TestDirtyPairCacheSkips(t *testing.T) {
 	}
 }
 
-// TestSkipEpsApproximation: a positive drift budget must stay close to the
-// exact fixed point and never solve more than the exact engine.
-func TestSkipEpsApproximation(t *testing.T) {
-	g := randomGraph(t, 24, 42)
-	exactCfg := DefaultConfig(0.6)
-	exact, err := Compute(g, exactCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := exactCfg
-	cfg.SkipEps = 0.01
-	approx, err := Compute(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if approx.EMDSolves > exact.EMDSolves {
-		t.Errorf("SkipEps solved more EMDs (%d) than exact (%d)", approx.EMDSolves, exact.EMDSolves)
-	}
-	var worst float64
-	for u := 0; u < g.NumStates; u++ {
-		for v := 0; v < g.NumStates; v++ {
-			if d := math.Abs(approx.S.At(u, v) - exact.S.At(u, v)); d > worst {
-				worst = d
-			}
-		}
-	}
-	// Loose bound: per-reuse error is ~2·SkipEps, amplified by at most
-	// 1/(1-CA) through the recursion.
-	if limit := 2 * cfg.SkipEps / (1 - cfg.CA) * 2; worst > limit {
-		t.Errorf("SkipEps drifted %v from exact (limit %v)", worst, limit)
-	}
-}
-
 // TestComputeContextCancelled: a cancelled context aborts the recursion
 // with an error wrapping context.Canceled.
 func TestComputeContextCancelled(t *testing.T) {
@@ -357,16 +324,11 @@ func TestComputeRecordsSweepSpans(t *testing.T) {
 	}
 }
 
-// TestComputeWorkersValidation rejects negative worker counts and SkipEps.
+// TestComputeWorkersValidation rejects negative worker counts.
 func TestComputeWorkersValidation(t *testing.T) {
 	cfg := DefaultConfig(0.6)
 	cfg.Workers = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative workers accepted")
-	}
-	cfg = DefaultConfig(0.6)
-	cfg.SkipEps = -0.1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative SkipEps accepted")
 	}
 }

@@ -17,7 +17,7 @@
 # benchmarks plus a capman-loadgen run against an in-process capmand
 # into BENCH_serve.json (cache-hit admission latency with the hard
 # 0 allocs/op gate, a cache hit through the whole HTTP handler,
-# sharded-cache read cost and contended speedup, and the loadgen report:
+# result-cache read cost (uncontended and parallel), and the loadgen report:
 # throughput, p50/p95/p99, hit rate, shed rate).
 #
 # Environment:
@@ -63,7 +63,7 @@ go run ./scripts/benchjson < "$raw" > "$OUT_OBS"
 echo "bench.sh: wrote $OUT_OBS"
 
 : > "$raw"
-go test -run '^$' -bench 'BenchmarkAdmissionPath|BenchmarkHTTPHit|BenchmarkShardedCache' \
+go test -run '^$' -bench 'BenchmarkAdmissionPath|BenchmarkHTTPHit|BenchmarkCache' \
     -benchmem -benchtime "$BENCHTIME" ./internal/server | tee "$raw"
 if [ "$BENCHTIME" = "1x" ]; then
     # Smoke run: a short closed-loop burst against the in-process daemon.

@@ -113,6 +113,28 @@ func TestZeroAllocGatesFailConversion(t *testing.T) {
 	}
 }
 
+// TestCacheGetGate: BenchmarkCache/get is recorded as cache_get_ns and
+// cache_get_allocs, and an iterated run that allocates fails conversion.
+func TestCacheGetGate(t *testing.T) {
+	clean := "BenchmarkCache/get-2 \t 1000000 \t 35.5 ns/op \t 0 B/op \t 0 allocs/op\n"
+	doc, _, err := convert(t, clean, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := doc.Derived
+	if d.CacheGetNs == nil || *d.CacheGetNs != 35.5 || d.CacheGetAllocs == nil || *d.CacheGetAllocs != 0 {
+		t.Errorf("cache get ns/allocs = %v/%v, want 35.5/0", d.CacheGetNs, d.CacheGetAllocs)
+	}
+	regressed := strings.Replace(clean, "0 allocs/op", "1 allocs/op", 1)
+	if _, _, err := convert(t, regressed, ""); err == nil || !strings.Contains(err.Error(), "BenchmarkCache/get") {
+		t.Errorf("allocating cache get: err = %v, want a gate failure naming it", err)
+	}
+	smoke := strings.Replace(regressed, "1000000", "1", 1)
+	if _, _, err := convert(t, smoke, ""); err != nil {
+		t.Errorf("single-iteration smoke run failed the cache gate: %v", err)
+	}
+}
+
 func TestLoadgenEmbeddedVerbatim(t *testing.T) {
 	dir := t.TempDir()
 	report := []byte(`{"zeta": 1.50, "alpha": {"rps": 12345.0, "errors": 0}, "list": [3, 1, 2]}`)
